@@ -19,8 +19,8 @@ Three experiments share ``benchmarks/artifacts/perf_throughput.json``:
     sequentially on one core.  The live leg pays the functional warmup
     per run; the replay leg captures each workload once, trains the warm
     checkpoints once, and restores them for the other three configs.
-    End-to-end replay must be at least 1.5x faster -- this is the CI
-    perf-regression gate -- and bit-identical (asserted per run).
+    End-to-end replay must be at least 1.5x faster -- the ``frontend``
+    leg of the CI perf-gates job -- and bit-identical (asserted per run).
 
 ``sampling``
     SimPoint-style sampled simulation vs the full run it estimates, on
@@ -35,11 +35,12 @@ Three experiments share ``benchmarks/artifacts/perf_throughput.json``:
 ``batched``
     Batched multi-config replay (DESIGN.md §12) vs sequential replay on
     a Fig. 10-style sweep: 8 PUBS priority-entry configs replaying one
-    region window with a warmup-heavy budget.  Sequential replay trains
-    the warm spans once per config; the batched walk decodes the trace
-    and trains warm state once for the whole batch.  Batched must be at
-    least 3x faster end to end -- the CI batched-replay gate -- and
-    bit-identical per member (asserted).
+    region window with a warmup-heavy budget.  Sequential replay (one
+    ``simulate`` call, i.e. a batch of one, per config) trains the warm
+    spans once per config; the batched walk decodes the trace and
+    trains warm state once for the whole batch.  Batched must be at
+    least 3x faster end to end -- the ``batched`` leg of the CI
+    perf-gates job -- and bit-identical per member (asserted).
 
 ``paired``
     Paired differential estimation + whole-table budget control

@@ -78,22 +78,21 @@ def shared_executor() -> SweepExecutor:
 
 
 def _executor_for(jobs: Optional[int], cache: "Optional[bool]",
-                  batch: Optional[int] = None,
                   backend: Optional[str] = None):
     """Pick the shared executor or build a specialised one.
 
     A ``backend`` spec always builds a dedicated executor: the shared
     one fronts the default (env-selected) backend, and mixing dispatch
     targets behind one dedup memo would misattribute its accounting.
+    With ``cache`` unset the specialised executor shares the shared
+    one's result cache -- even while that cache is still empty.
     """
-    if jobs is None and cache is None and batch is None and backend is None:
+    if jobs is None and cache is None and backend is None:
         return shared_executor()
     if cache is None:
-        return SweepExecutor(jobs=jobs,
-                             cache=shared_executor().cache or False,
-                             batch=batch, backend=backend)
-    return SweepExecutor(jobs=jobs, cache=cache, batch=batch,
-                         backend=backend)
+        shared_cache = shared_executor().cache
+        cache = False if shared_cache is None else shared_cache
+    return SweepExecutor(jobs=jobs, cache=cache, backend=backend)
 
 
 def _resolve_config(config: Optional[ProcessorConfig],
@@ -211,7 +210,6 @@ def run_workload(
     jobs: Optional[int] = None,
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
-    batch: Optional[int] = None,
     backend: Optional[str] = None,
     request: Optional[RunRequest] = None,
 ) -> "SimulationResult | WorkloadRun":
@@ -224,8 +222,6 @@ def run_workload(
     ``sampling`` (None defers to ``REPRO_SAMPLING``, then "off") keeps
     the classic full-span :class:`SimulationResult` when off; the
     sampled modes return a :class:`WorkloadRun` estimate instead.
-    ``batch`` caps batched replay grouping (None defers to
-    ``REPRO_BATCH``; a single cell has nothing to group with anyway).
     ``backend`` picks the execution backend (None defers to
     ``REPRO_BACKEND``, then the local process pool).  ``request``
     supplies any of these as a bundled
@@ -233,12 +229,11 @@ def run_workload(
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache, frontend=frontend,
-                         sampling=sampling, ci_target=ci_target, batch=batch,
+                         sampling=sampling, ci_target=ci_target,
                          backend=backend)
     if req.sampling != "off":
         return _sampled_cell(workload, config, req,
-                             _executor_for(req.jobs, req.cache, req.batch,
-                                           req.backend))
+                             _executor_for(req.jobs, req.cache, req.backend))
     instructions, skip = _budget(req)
     config = _resolve_config(config, req.frontend)
     job = SimJob.make(workload, config, instructions, skip)
@@ -251,8 +246,7 @@ def run_workload(
             skip_instructions=skip,
             mem_seed=job.profile.mem_seed,
         )
-    return _executor_for(req.jobs, req.cache, req.batch,
-                         req.backend).run_one(job)
+    return _executor_for(req.jobs, req.cache, req.backend).run_one(job)
 
 
 def _sampled_row(workload: "str | WorkloadProfile",
@@ -461,7 +455,6 @@ def run_pair(
     frontend: Optional[str] = None,
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
-    batch: Optional[int] = None,
     backend: Optional[str] = None,
     paired: Optional[bool] = None,
     request: Optional[RunRequest] = None,
@@ -481,11 +474,11 @@ def run_pair(
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache, frontend=frontend,
-                         sampling=sampling, ci_target=ci_target, batch=batch,
+                         sampling=sampling, ci_target=ci_target,
                          backend=backend, paired=paired)
     profile = get_profile(workload) if isinstance(workload, str) else workload
     runner = executor if executor is not None \
-        else _executor_for(req.jobs, req.cache, req.batch, req.backend)
+        else _executor_for(req.jobs, req.cache, req.backend)
     if req.sampling != "off":
         base_cell, variant_cell = _sampled_row(
             profile, [base_config, variant_config], req, runner)
@@ -513,7 +506,6 @@ def run_suite(
     frontend: Optional[str] = None,
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
-    batch: Optional[int] = None,
     backend: Optional[str] = None,
     paired: Optional[bool] = None,
     table_budget: Optional[bool] = None,
@@ -539,13 +531,13 @@ def run_suite(
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache, frontend=frontend,
-                         sampling=sampling, ci_target=ci_target, batch=batch,
+                         sampling=sampling, ci_target=ci_target,
                          backend=backend, paired=paired,
                          table_budget=table_budget)
     names = list(workloads) if workloads is not None else sorted(spec2006_profiles())
     profiles = [get_profile(name) for name in names]
     runner = executor if executor is not None \
-        else _executor_for(req.jobs, req.cache, req.batch, req.backend)
+        else _executor_for(req.jobs, req.cache, req.backend)
     if req.sampling == "adaptive" and req.table_budget is not False:
         return _sampled_table(profiles, configs, req, runner)
     if req.sampling != "off":

@@ -16,9 +16,6 @@ keyword vocabulary:
 ``sampling``
     ``"off"`` / ``"fixed"`` / ``"adaptive"``
     (None -> ``REPRO_SAMPLING`` -> off);
-``batch``
-    max replay configs sharing one batched trace walk
-    (None -> ``REPRO_BATCH`` -> 16; 0/1 disables batching);
 ``backend``
     where planned units execute: ``"inline"`` / ``"process"`` /
     ``"queue"`` (None -> ``REPRO_BACKEND`` -> the local process pool);
@@ -35,6 +32,11 @@ keyword vocabulary:
     a :class:`RunRequest` bundling all of the above -- explicit
     keywords override its fields, the environment fills what is left,
     and library defaults apply last.
+
+There is no batching knob: replay-mode configs that share a warm class
+always walk their trace together (:func:`run_batch`, up to
+``DEFAULT_BATCH_LIMIT`` per walk), and a single replay run is a batch
+of one.
 
 Quick start::
 

@@ -7,6 +7,6 @@ knobs -- the warm-checkpoint equivalence class.  See
 :func:`repro.exec.jobs.batch_signature` for what may share a batch.
 """
 
-from .replay import BatchCursor, SharedReplayWindow, run_batch
+from .replay import run_batch
 
-__all__ = ["BatchCursor", "SharedReplayWindow", "run_batch"]
+__all__ = ["run_batch"]

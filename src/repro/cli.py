@@ -42,9 +42,9 @@ the timing model from recorded traces instead of live functional execution
 (or ``REPRO_SAMPLING``) estimates whole-span metrics from sampled regions
 instead of simulating everything, annotating every figure with its ~95% CI;
 ``--sampling adaptive`` keeps adding regions until the CI half-width falls
-below ``--ci-target`` (or ``REPRO_CI_TARGET``).  ``--batch N`` (or
-``REPRO_BATCH``) lets up to N replay configs of one workload share a
-single batched trace walk (DESIGN.md §12); 0 disables batching.
+below ``--ci-target`` (or ``REPRO_CI_TARGET``).  Replay configs of one
+workload that share a warm class always share one batched trace walk
+(DESIGN.md §12); a single replay run is a batch of one.
 ``--request-file FILE`` loads a serialized ``RunRequest`` (the wire
 JSON, DESIGN.md §16) as the baseline the flags override.  These shared
 flags are declared once per *flag family* (:func:`add_flag_families`)
@@ -57,7 +57,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
@@ -180,7 +179,7 @@ def _positive_int(text: str) -> int:
 
 def _non_negative_int(text: str) -> int:
     """argparse type for counts where 0 is legal but negatives are not
-    (e.g. --batch: 0 disables batching)."""
+    (e.g. --local-workers: 0 runs no local worker)."""
     try:
         value = int(text)
     except ValueError:
@@ -220,11 +219,6 @@ def _exec_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: REPRO_JOBS or the usable-CPU count)")
     parser.add_argument("--no-cache", action="store_true",
                         help="bypass the persistent result cache")
-    parser.add_argument("--batch", type=_non_negative_int, default=None,
-                        metavar="N",
-                        help="max replay configs sharing one batched trace "
-                             "walk (default: REPRO_BATCH, else 16; 0 or 1 "
-                             "disables batching)")
 
 
 @_flag_family("backend")
@@ -330,7 +324,7 @@ def _executor_from_args(args) -> SweepExecutor:
         backend = create_backend(spec if spec is not None else "queue",
                                  jobs=args.jobs, queue_dir=queue_dir)
     return SweepExecutor(jobs=args.jobs, cache=_cache_flag(args),
-                         batch=args.batch, backend=backend)
+                         backend=backend)
 
 
 def _request_from_args(args) -> RunRequest:
@@ -348,7 +342,6 @@ def _request_from_args(args) -> RunRequest:
         skip=getattr(args, "skip", None),
         jobs=getattr(args, "jobs", None),
         cache=False if getattr(args, "no_cache", False) else None,
-        batch=getattr(args, "batch", None),
         backend=getattr(args, "backend", None),
         frontend=getattr(args, "frontend", None),
         sampling=getattr(args, "sampling", None),
@@ -707,9 +700,9 @@ def _cmd_cache(args) -> int:
 
 
 def _reject_sampling(args, command: str, why: str) -> bool:
-    """True (and an error message) when a sampled mode was requested."""
-    mode = args.sampling or os.environ.get("REPRO_SAMPLING")
-    if mode and mode != "off":
+    """True (and an error message) when a sampled mode was requested --
+    by flag, request file or environment, in that precedence."""
+    if _request_from_args(args).resolved().sampling != "off":
         print(f"error: {command} {why}; --sampling must be off",
               file=sys.stderr)
         return True
@@ -1005,7 +998,7 @@ def _cmd_submit(args) -> int:
                            local_workers=args.local_workers,
                            timeout=args.timeout)
     executor = SweepExecutor(jobs=args.jobs, cache=_cache_flag(args),
-                             batch=args.batch, backend=backend)
+                             backend=backend)
     results = run_suite({"base": base, "variant": variant}, names,
                         request=req, executor=executor)
     return _render_suite_table(names, results,

@@ -247,10 +247,9 @@ class RunRequest:
     Every field defaults to ``None`` = *unset*: :meth:`resolved` fills
     unset execution fields from the environment, and the runner applies
     the library defaults last, giving the precedence **explicit value >
-    environment > default** everywhere.  ``jobs``, ``cache`` and
-    ``batch`` stay ``None`` through resolution when unset -- the
-    executor layer already owns their ``REPRO_JOBS`` / ``REPRO_CACHE`` /
-    ``REPRO_BATCH`` policy.
+    environment > default** everywhere.  ``jobs`` and ``cache`` stay
+    ``None`` through resolution when unset -- the executor layer already
+    owns their ``REPRO_JOBS`` / ``REPRO_CACHE`` policy.
     """
 
     #: Timed instruction budget (None -> the caller's library default).
@@ -261,9 +260,6 @@ class RunRequest:
     jobs: Optional[int] = None
     #: Persistent result cache (None -> ``REPRO_CACHE`` policy).
     cache: Optional[bool] = None
-    #: Max members per batched replay unit (None -> ``REPRO_BATCH`` ->
-    #: the executor default; 0 or 1 disables batched grouping).
-    batch: Optional[int] = None
     #: Execution backend spec: ``"inline"`` / ``"process"`` / ``"queue"``
     #: (None -> ``REPRO_BACKEND`` -> the local process pool).  The
     #: executor layer resolves the name; an unknown spec fails there
@@ -316,7 +312,7 @@ class RunRequest:
             value = getattr(self, n)
             if value is not None and value < 1:
                 raise ValueError(f"{n} must be positive")
-        for n in ("skip", "warmup", "detail", "batch"):
+        for n in ("skip", "warmup", "detail"):
             value = getattr(self, n)
             if value is not None and value < 0:
                 raise ValueError(f"{n} must be non-negative")

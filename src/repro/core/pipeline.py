@@ -17,7 +17,7 @@ redirect fetch themselves and wrong-path memory ops do not touch the cache
 (standard trace-driven simplifications; see DESIGN.md).
 
 With ``config.frontend_mode == "replay"`` the live functional executor is
-replaced by a :class:`~repro.trace.replay.TraceReplayFrontEnd` over a
+replaced by a :class:`~repro.trace.replay.ReplayCursor` over a window of a
 recorded trace (DESIGN.md §9): correct-path records come from typed
 arrays, warmup restores cached post-skip checkpoints of the memory
 hierarchy and the predictor complex instead of re-training them, and only
@@ -46,6 +46,7 @@ the legacy full-scan loop (slots there are not stable handles).
 
 from __future__ import annotations
 
+import pickle
 from collections import deque
 from operator import itemgetter
 from typing import Deque, Dict, List, Optional
@@ -73,6 +74,12 @@ from .stats import SimStats
 from .uop import NEVER, Uop
 
 _slot_of = itemgetter(0)
+
+#: Pipeline attributes the first member of a shared replay window
+#: pickles for the rest -- the component set the warm-checkpoint store
+#: persists, plus the I-line dedup mark the warm walk leaves behind.
+_WARM_FIELDS = ("hierarchy", "predictor", "btb", "slice_tracker",
+                "_last_ifetch_line")
 
 
 def build_predictor(config: ProcessorConfig) -> BranchPredictor:
@@ -137,8 +144,9 @@ class Pipeline:
         #: environment-selected store).  Ignored in live mode.
         self._trace_source = trace_source
         if cfg.frontend_mode == "replay":
-            # No live executor: the cursor is built in run(), once the
-            # required trace length (skip + sample + margin) is known.
+            # No live executor: run() opens a one-member replay window
+            # once the required trace length (skip + sample + margin) is
+            # known, unless repro.batch installed a shared-window cursor.
             self.executor = None
             self.cursor = None
         else:
@@ -208,10 +216,6 @@ class Pipeline:
         #: Sampled-region detailed warmup still owed before measurement
         #: (consumed by the first ``run`` on a region config).
         self._pending_detail = 0
-        #: Set by the batched replay front end (:mod:`repro.batch`) after
-        #: it has installed the shared cursor and warm state externally;
-        #: the next ``run`` then skips :meth:`_prepare_replay` once.
-        self._replay_prepared = False
         #: Hierarchy-counter baselines at the measurement start, so
         #: region stats report the measured window, not the warm phases.
         self._mem_stats_base = (0, 0, 0)
@@ -257,10 +261,7 @@ class Pipeline:
         if max_instructions < 1:
             raise ValueError("max_instructions must be positive")
         if self.config.frontend_mode == "replay":
-            if self._replay_prepared:
-                self._replay_prepared = False
-            else:
-                self._prepare_replay(max_instructions, skip_instructions)
+            self._prepare_replay(max_instructions, skip_instructions)
         else:
             self._prewarm_regions()
             for _ in range(skip_instructions):
@@ -364,71 +365,78 @@ class Pipeline:
 
     def _prepare_replay(self, max_instructions: int,
                         skip_instructions: int) -> None:
-        """Acquire the trace and fast-forward warmup for a replay run.
+        """Seat a replay run: trace, cursor, warm state, region, verifier.
 
-        Mirrors the live skip phase exactly.  On a fresh run the trained
-        post-skip state of the memory hierarchy and of the predictor
-        complex is restored from (or recorded into) the warm-checkpoint
-        store, so a sweep trains each component once, not once per config.
-        On a resumed run (``run`` called again) warm training continues
+        The one replay set-up routine, for a single run and for every
+        batch member alike.  A fresh run without a cursor opens a
+        one-member window over the trace it needs; :func:`repro.batch.
+        run_batch` installs a cursor over its shared window instead.
+        The first reader of a window restores the trained post-skip
+        state of the memory hierarchy and of the predictor complex from
+        (or records it into) the warm-checkpoint store, so a sweep
+        trains each component once, not once per config; on a shared
+        window it also pickles that state once for the later members,
+        which is precisely how the store would deliver it to them.  On
+        a resumed run (``run`` called again) warm training continues
         from the replay position on the live structures, as in live mode.
         """
-        from ..trace.replay import TraceReplayFrontEnd  # deferred: import cycle
+        from ..trace.replay import open_window  # deferred: import cycle
         from ..trace.store import REPLAY_MARGIN, shared_store
         store = self._trace_source if self._trace_source is not None \
             else shared_store()
-        fresh = (self.cycle == 0 and self.stats.committed == 0
-                 and self._next_trace_seq == 0)
-        region = self.config.replay_region
-        if region is not None and fresh:
-            if skip_instructions:
-                raise ValueError(
-                    "replay_region and skip_instructions are mutually "
-                    "exclusive: the region's warmup already positions "
-                    "the timed window")
-            needed = region.start + max_instructions + REPLAY_MARGIN
-            trace = store.acquire(self.program, self.mem_seed, needed)
-            self.cursor = TraceReplayFrontEnd(trace, self.program)
-            # Timing (the discarded detail window first) starts at
-            # ``seat``; warm microarchitectural state fast-forwards only
-            # over the warmup residue before it, and the differential
-            # oracle (when enabled) restarts from the nearest
-            # ArchCheckpoint <= the seat instead of re-executing the
-            # whole prefix.
-            seat = region.start - region.detail
-            if region.warmup == seat and seat > 0:
-                # Full-prefix warmup is exactly the skip path's warm
-                # phase, so share its warm-checkpoint store: state at
-                # this seat is trained once and restored by every other
-                # config sampling the same window.
-                self._restore_or_train_warm(store, trace, seat)
-            else:
-                self._prewarm_regions()
-                self._warm_mem_span(trace, seat - region.warmup, seat)
-                self._warm_front_span(trace, seat - region.warmup, seat)
-            self._next_trace_seq = seat
-            self._pending_detail = region.detail
-            if self.verifier is not None:
-                self.verifier.on_region(trace, seat)
-            self.cursor.release(seat)
-            return
-        start = 0 if fresh else self.cursor.high
-        needed = start + skip_instructions + max_instructions + REPLAY_MARGIN
-        trace = store.acquire(self.program, self.mem_seed, needed,
-                              skip_hint=skip_instructions if fresh else 0)
-        if self.cursor is None:
-            self.cursor = TraceReplayFrontEnd(trace, self.program)
-        elif trace is not self.cursor.trace:
-            self.cursor.attach(trace)
-        if fresh and skip_instructions:
-            self._restore_or_train_warm(store, trace, skip_instructions)
-            self._next_trace_seq = skip_instructions
-        else:
+        if self.cycle or self.stats.committed or self._next_trace_seq:
+            start = self.cursor.high
+            trace = store.acquire(
+                self.program, self.mem_seed,
+                start + skip_instructions + max_instructions + REPLAY_MARGIN)
+            if trace is not self.cursor.trace:
+                self.cursor.attach(trace)
             self._prewarm_regions()
             self._warm_mem_span(trace, start, start + skip_instructions)
             self._warm_front_span(trace, start, start + skip_instructions)
             self._next_trace_seq += skip_instructions
-        self.cursor.release(self._next_trace_seq)
+            self.cursor.release(self._next_trace_seq)
+            return
+        region = self.config.replay_region
+        if self.cursor is None:
+            self.cursor = open_window(
+                store, self.program, self.mem_seed, region,
+                max_instructions, skip_instructions).cursor()
+        window = self.cursor.window
+        trace = window.trace
+        # Timing (a region's discarded detail window first) starts at
+        # the seat; warm microarchitectural state fast-forwards only
+        # over the warmup before it, and the differential oracle (when
+        # enabled) restarts from the nearest ArchCheckpoint <= the seat
+        # instead of re-executing the whole prefix.
+        seat = window.start
+        if window.warm is not None:
+            for name, value in zip(_WARM_FIELDS, pickle.loads(window.warm)):
+                setattr(self, name, value)
+            # Geometry-equal by batch signature; rebind so later field
+            # reads see this run's own config object, not the snapshot's.
+            self.slice_tracker.config = self.config.pubs
+        else:
+            if region is not None and region.warmup != seat:
+                self._prewarm_regions()
+                self._warm_mem_span(trace, seat - region.warmup, seat)
+                self._warm_front_span(trace, seat - region.warmup, seat)
+            elif seat > 0:
+                # A full-prefix warmup is exactly the skip path's warm
+                # phase: share its warm-checkpoint store.
+                self._restore_or_train_warm(store, trace, seat)
+            else:
+                self._prewarm_regions()
+            if window.shared:
+                window.warm = pickle.dumps(
+                    tuple(getattr(self, name) for name in _WARM_FIELDS),
+                    protocol=pickle.HIGHEST_PROTOCOL)
+        self._next_trace_seq = seat
+        if region is not None:
+            self._pending_detail = region.detail
+            if self.verifier is not None:
+                self.verifier.on_region(trace, seat)
+        self.cursor.release(seat)
 
     def _restore_or_train_warm(self, store, trace, skip: int) -> None:
         """Restore warm components from checkpoints, training on a miss."""

@@ -16,8 +16,6 @@ Environment knobs:
   count, falling back to ``os.cpu_count()``)
 * ``REPRO_CACHE_DIR`` -- cache directory (default: ``~/.cache/repro``)
 * ``REPRO_CACHE``     -- set to ``0`` to disable the persistent cache
-* ``REPRO_BATCH``     -- max members per batched replay unit
-  (default: 16; ``0`` disables batching)
 * ``REPRO_BACKEND``   -- execution backend spec
   (``inline`` / ``process`` / ``queue``; default: ``process``)
 * ``REPRO_QUEUE_DIR`` -- shared queue directory (default: the cache's
@@ -43,14 +41,11 @@ from .cache import (
 from .executor import (
     DEFAULT_BATCH_LIMIT,
     SweepExecutor,
-    default_batch_limit,
     default_jobs,
 )
 from .jobs import (
-    BatchJob,
     SimJob,
     batch_signature,
-    execute_batch,
     execute_job,
     execute_unit,
     job_key,
@@ -86,7 +81,6 @@ __all__ = [
     "DEFAULT_BATCH_LIMIT",
     "DEFAULT_LEASE_TTL",
     "DEFAULT_MAX_ATTEMPTS",
-    "BatchJob",
     "CacheStats",
     "ExecutionBackend",
     "InlineBackend",
@@ -107,11 +101,9 @@ __all__ = [
     "config_fingerprint",
     "create_backend",
     "default_backend_spec",
-    "default_batch_limit",
     "default_cache_dir",
     "default_jobs",
     "default_queue_dir",
-    "execute_batch",
     "execute_job",
     "execute_unit",
     "fingerprint",

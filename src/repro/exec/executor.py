@@ -11,9 +11,9 @@ deterministic (workload, config, budget) simulations.
 2. serves what it can from the **persistent result cache**
    (:mod:`repro.exec.cache`);
 3. **groups** the remaining replay-mode misses by
-   :func:`~repro.exec.jobs.batch_signature` into :class:`~repro.exec.jobs.
-   BatchJob` units (``--batch`` / ``REPRO_BATCH``; see :mod:`repro.batch`),
-   so N same-window configs walk their trace once instead of N times;
+   :func:`~repro.exec.jobs.batch_signature` into units of up to
+   :data:`DEFAULT_BATCH_LIMIT` members (see :mod:`repro.batch`), so N
+   same-window configs walk their trace once instead of N times;
 4. hands the resulting units to an :class:`~repro.exec.backend.
    ExecutionBackend` -- inline, a local process pool sized by ``--jobs`` /
    ``REPRO_JOBS``, or the shared job queue that ``repro worker``
@@ -73,23 +73,6 @@ def default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def default_batch_limit() -> int:
-    """Batch cap: ``REPRO_BATCH`` if set and valid, else the default.
-
-    ``0`` (or ``1``) disables batched grouping; invalid values fall back
-    to :data:`DEFAULT_BATCH_LIMIT`, mirroring :func:`default_jobs`.
-    """
-    env = os.environ.get("REPRO_BATCH")
-    if env is not None:
-        try:
-            value = int(env)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
-    return DEFAULT_BATCH_LIMIT
-
-
 _Entry = Tuple[str, SimJob]
 
 
@@ -98,17 +81,12 @@ class SweepExecutor:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: "Optional[ResultCache | bool]" = None,
-                 batch: Optional[int] = None,
                  backend: "Optional[ExecutionBackend | str]" = None):
         """``jobs``: worker count (None -> :func:`default_jobs`).
 
         ``cache``: a :class:`ResultCache` to use, ``False`` to disable
         caching, or None to follow the environment policy (enabled unless
         ``REPRO_CACHE=0``, directory from ``REPRO_CACHE_DIR``).
-
-        ``batch``: max members per batched replay unit; ``0`` or ``1``
-        disables grouping, None follows ``REPRO_BATCH`` (default
-        :data:`DEFAULT_BATCH_LIMIT`).
 
         ``backend``: where planned units execute -- an
         :class:`ExecutionBackend` instance, a registered spec name
@@ -117,8 +95,6 @@ class SweepExecutor:
         preserves the classic executor behavior bit for bit).
         """
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
-        self.batch = default_batch_limit() if batch is None \
-            else max(0, int(batch))
         if isinstance(backend, ExecutionBackend):
             self.backend = backend
         else:
@@ -153,11 +129,9 @@ class SweepExecutor:
         """Group cache misses into execution units, request order kept.
 
         Replay jobs sharing a :func:`batch_signature` form one unit (up
-        to ``self.batch`` members; larger groups split); live-mode jobs
-        and singletons stay individual units.
+        to :data:`DEFAULT_BATCH_LIMIT` members; larger groups split);
+        live-mode jobs stay individual units.
         """
-        if self.batch < 2:
-            return [[entry] for entry in misses]
         sequence: List[List[_Entry]] = []
         buckets: Dict[str, List[_Entry]] = {}
         for entry in misses:
@@ -173,8 +147,8 @@ class SweepExecutor:
                 bucket.append(entry)
         units: List[List[_Entry]] = []
         for bucket in sequence:
-            for i in range(0, len(bucket), self.batch):
-                units.append(bucket[i:i + self.batch])
+            for i in range(0, len(bucket), DEFAULT_BATCH_LIMIT):
+                units.append(bucket[i:i + DEFAULT_BATCH_LIMIT])
         return units
 
     def run(self, batch: Sequence[SimJob]) -> List[SimulationResult]:
@@ -236,11 +210,8 @@ class SweepExecutor:
             # The classic local pool stays implicit; anything else is
             # worth a word in the spend line.
             parts.insert(1, f"backend={self.backend.describe()}")
-        if self.batch >= 2:
-            parts.append(f"batched={self.batched_jobs}"
-                         f"(in {self.batches_run} batches)")
-        else:
-            parts.append("batch=off")
+        parts.append(f"batched={self.batched_jobs}"
+                     f"(in {self.batches_run} batches)")
         if self.cache is not None:
             parts.append(self.cache.stats.summary())
         else:

@@ -105,51 +105,18 @@ def batch_signature(job: SimJob) -> Optional[str]:
     })
 
 
-@dataclass(frozen=True)
-class BatchJob:
-    """Several same-signature replay jobs sharing one trace walk.
-
-    Each member keeps its own :func:`job_key` -- and therefore its own
-    persistent cache entry -- so warm-cache behavior is identical to
-    running the members individually; the executor drops already-cached
-    members from the batch before simulation.
-    """
-
-    jobs: Tuple[SimJob, ...]
-
-    def __post_init__(self) -> None:
-        if not self.jobs:
-            raise ValueError("a batch needs at least one job")
-        signatures = {batch_signature(job) for job in self.jobs}
-        if None in signatures:
-            raise ValueError("batched execution requires replay-mode jobs")
-        if len(signatures) > 1:
-            raise ValueError(
-                "batch members must share workload, budget, replay window, "
-                "memory configuration and warm front-end configuration")
-
-    @property
-    def signature(self) -> str:
-        return batch_signature(self.jobs[0])
-
-
-def execute_batch(batch: BatchJob) -> List[SimulationResult]:
-    """Run a batch to completion (in this process), one walk of the trace."""
-    from ..batch import run_batch  # deferred: repro.batch builds on repro.exec
-    return run_batch(batch.jobs)
-
-
 def execute_unit(unit) -> "List[Tuple[str, SimulationResult]]":
     """Run one planned unit of keyed jobs (module-level for pickling).
 
     The primitive every execution backend -- and every ``repro
     worker`` -- runs: a unit is one or more ``(job_key, SimJob)``
-    entries; multi-job units share one batched trace walk, single-job
-    units run exactly as a direct :func:`execute_job` call.
+    entries.  Every replay unit, one job or many, walks its trace once
+    through :func:`repro.batch.run_batch` (a single replay run is a
+    batch of one); a live unit runs its job through :func:`execute_job`.
     """
+    from ..batch import run_batch  # deferred: repro.batch builds on repro.exec
     entries = list(unit)
-    if len(entries) == 1:
-        key, job = entries[0]
-        return [(key, execute_job(job))]
-    results = execute_batch(BatchJob(tuple(job for _, job in entries)))
+    if entries[0][1].config.frontend_mode != "replay":
+        return [(key, execute_job(job)) for key, job in entries]
+    results = run_batch([job for _, job in entries])
     return list(zip((key for key, _ in entries), results))

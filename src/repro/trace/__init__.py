@@ -8,9 +8,9 @@ See DESIGN.md §9.  Public surface:
 * :class:`~repro.trace.format.Trace` / :class:`~repro.trace.format.
   ArchCheckpoint` and the encode/decode pair -- the versioned,
   checksummed on-disk format;
-* :class:`~repro.trace.replay.TraceReplayFrontEnd` -- the cursor the
-  pipeline fetches correct-path records from in ``frontend_mode=
-  "replay"``;
+* :class:`~repro.trace.replay.SharedReplayWindow` -- the decoded trace
+  span whose per-pipeline cursors feed correct-path records in
+  ``frontend_mode="replay"`` (a single run is a window with one cursor);
 * :class:`~repro.trace.store.TraceStore` / :func:`~repro.trace.store.
   shared_store` -- content-addressed persistence for traces and warm
   microarchitectural checkpoints.
@@ -27,7 +27,7 @@ from .format import (
     encode_trace,
     trace_metadata,
 )
-from .replay import TraceExhaustedError, TraceReplayFrontEnd, static_decode_table
+from .replay import SharedReplayWindow, TraceExhaustedError, static_decode_table
 from .store import (
     REPLAY_MARGIN,
     TraceStore,
@@ -41,10 +41,10 @@ __all__ = [
     "TRACE_FORMAT_VERSION",
     "REPLAY_MARGIN",
     "ArchCheckpoint",
+    "SharedReplayWindow",
     "Trace",
     "TraceFormatError",
     "TraceExhaustedError",
-    "TraceReplayFrontEnd",
     "TraceStore",
     "adopt_skip_checkpoint",
     "capture_trace",

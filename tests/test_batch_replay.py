@@ -2,9 +2,10 @@
 
 The tentpole guarantee of :mod:`repro.batch` (DESIGN.md §12): feeding N
 same-warm-class configs from one :class:`SharedReplayWindow` produces
-*exactly* the results N sequential replays produce -- same ``SimStats``,
-same side-structure counters, pinned against the seed goldens -- while
-decoding the trace and training warm state once for the whole batch.
+*exactly* the results N one-member windows (N ``simulate`` calls)
+produce -- same ``SimStats``, same side-structure counters, pinned
+against the seed goldens -- while decoding the trace and training warm
+state once for the whole batch.
 """
 
 import dataclasses
@@ -13,15 +14,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.batch.replay as batch_replay
-from repro.batch import BatchCursor, SharedReplayWindow, run_batch
+import repro.trace.replay as trace_replay
+from repro.batch import run_batch
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
-from repro.exec import BatchJob, SimJob, batch_signature
+from repro.exec import SimJob, batch_signature
 from repro.exec.cache import ResultCache
 from repro.exec.executor import SweepExecutor
 from repro.pubs import PubsConfig
 from repro.trace import TraceExhaustedError
+from repro.trace.replay import SharedReplayWindow
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
@@ -154,7 +156,7 @@ def test_python_fallback_matches_numpy(store, monkeypatch):
     """The no-numpy record materialization is semantically identical."""
     jobs = _jobs("mcf", FAMILIES["pubs"][:2])
     with_numpy = run_batch(jobs, trace_source=store)
-    monkeypatch.setattr(batch_replay, "_np", None)
+    monkeypatch.setattr(trace_replay, "_np", None)
     without = run_batch(jobs, trace_source=store)
     for a, b in zip(with_numpy, without):
         assert dataclasses.asdict(a) == dataclasses.asdict(b)
@@ -174,8 +176,6 @@ def test_mixed_signatures_rejected(store):
     mixed = _jobs("sjeng", [BASE]) + _jobs("mcf", [BASE])
     with pytest.raises(ValueError):
         run_batch(mixed, trace_source=store)
-    with pytest.raises(ValueError):
-        BatchJob(tuple(mixed))
 
 
 def test_base_and_pubs_never_share_a_batch():
@@ -209,7 +209,7 @@ def _window(store, workload="sjeng", records=3000, base=0):
 
 def test_window_materializes_lazily_and_once(store):
     window, _ = _window(store)
-    assert window.high == window.base
+    assert window.high == window.start
     first = window.get(10)
     assert window.high >= 11
     assert window.get(10) is first  # same shared object, not a re-decode
@@ -223,19 +223,13 @@ def test_window_exhaustion_raises(store):
 
 def test_cursor_release_is_per_member(store):
     window, _ = _window(store)
-    first, second = BatchCursor(window), BatchCursor(window)
+    first, second = window.cursor(), window.cursor()
     first.get(5)
     first.release(6)
     with pytest.raises(IndexError):
         first.get(5)
     # The other member's view is untouched by the release.
     assert second.get(5).seq == 5
-
-
-def test_cursor_rejects_reattach(store):
-    window, trace = _window(store)
-    with pytest.raises(RuntimeError):
-        BatchCursor(window).attach(trace)
 
 
 # ----------------------------------------------------------------------
@@ -247,13 +241,13 @@ def test_executor_batches_replay_jobs(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     reset_shared_stores()
     jobs = _jobs("sjeng", FAMILIES["pubs"])
-    batched = SweepExecutor(jobs=1, cache=False, batch=8)
+    batched = SweepExecutor(jobs=1, cache=False)
     results = batched.run(jobs)
     assert batched.batches_run == 1
     assert batched.batched_jobs == len(jobs)
-    sequential = SweepExecutor(jobs=1, cache=False, batch=0).run(jobs)
-    for a, b in zip(results, sequential):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    for job, result in zip(jobs, results):
+        assert dataclasses.asdict(result) \
+            == dataclasses.asdict(_sequential(job, None))
 
 
 def test_executor_drops_cached_members_from_batch(tmp_path, monkeypatch):
@@ -263,20 +257,20 @@ def test_executor_drops_cached_members_from_batch(tmp_path, monkeypatch):
     reset_shared_stores()
     jobs = _jobs("sjeng", FAMILIES["pubs"])
     cache_dir = tmp_path / "results"
-    prime = SweepExecutor(jobs=1, cache=ResultCache(cache_dir), batch=8)
+    prime = SweepExecutor(jobs=1, cache=ResultCache(cache_dir))
     primed = prime.run([jobs[1]])
     assert prime.simulations_run == 1
-    warm = SweepExecutor(jobs=1, cache=ResultCache(cache_dir), batch=8)
+    warm = SweepExecutor(jobs=1, cache=ResultCache(cache_dir))
     results = warm.run(jobs)
     assert warm.cache.stats.hits == 1
     assert warm.simulations_run == len(jobs) - 1
     assert warm.batches_run == 1
     assert warm.batched_jobs == len(jobs) - 1
     assert dataclasses.asdict(results[1]) == dataclasses.asdict(primed[0])
-    # The partial batch still matches uncached sequential replay.
-    sequential = SweepExecutor(jobs=1, cache=False, batch=0).run(jobs)
-    for a, b in zip(results, sequential):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+    # The partial batch still matches uncached per-job replay.
+    for job, result in zip(jobs, results):
+        assert dataclasses.asdict(result) \
+            == dataclasses.asdict(_sequential(job, None))
 
 
 def test_executor_mixes_live_and_replay_units(tmp_path, monkeypatch):
@@ -287,7 +281,7 @@ def test_executor_mixes_live_and_replay_units(tmp_path, monkeypatch):
     live = SimJob(get_profile("mcf"), ProcessorConfig.cortex_a72_like(),
                   INSTRUCTIONS, SKIP)
     jobs = _jobs("sjeng", FAMILIES["pubs"][:2]) + [live]
-    executor = SweepExecutor(jobs=1, cache=False, batch=8)
+    executor = SweepExecutor(jobs=1, cache=False)
     results = executor.run(jobs)
     assert executor.batches_run == 1
     assert executor.batched_jobs == 2

@@ -77,6 +77,18 @@ class TestRequestFile:
         assert request.instructions == 1500  # flag wins
         assert request.jobs == 4             # file fills the rest
 
+    @pytest.mark.parametrize("command", [["verify", "--workload", "sjeng"],
+                                         ["profile", "sjeng"]])
+    def test_request_file_sampling_is_rejected(self, tmp_path, capsys,
+                                               monkeypatch, command):
+        """A sampled mode from the request file exits 2 like the flag."""
+        from repro.core.config import RunRequest
+        monkeypatch.delenv("REPRO_SAMPLING", raising=False)
+        path = tmp_path / "req.json"
+        path.write_text(RunRequest(sampling="adaptive").to_json())
+        assert main(command + ["--request-file", str(path)]) == 2
+        assert "--sampling must be off" in capsys.readouterr().err
+
     def test_malformed_request_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "req.json"
         path.write_text("{not json")

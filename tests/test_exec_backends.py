@@ -213,7 +213,6 @@ _REQUESTS = st.builds(
     skip=st.none() | st.integers(min_value=0, max_value=10**9),
     jobs=st.none() | st.integers(min_value=1, max_value=512),
     cache=st.none() | st.booleans(),
-    batch=st.none() | st.integers(min_value=0, max_value=64),
     backend=st.none() | st.sampled_from(["inline", "process", "queue"]),
     frontend=st.none() | st.sampled_from(["live", "replay"]),
     sampling=st.none() | st.sampled_from(["off", "fixed"]),

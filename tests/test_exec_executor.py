@@ -124,3 +124,31 @@ class TestRunnerIntegration:
         assert executor.simulations_run == len(WORKLOADS)
         assert executor.cache.stats.hits >= len(WORKLOADS)
         assert first == again
+
+    def test_cold_cache_suite_with_jobs_fills_the_cache(self, tmp_path,
+                                                        monkeypatch):
+        """An explicit ``jobs`` executor shares the (still empty) cache.
+
+        Regression: an empty ResultCache is falsy, so a cold
+        ``run_suite(jobs=1)`` used to run uncached and store nothing.
+        """
+        import repro.analysis.runner as runner_mod
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(runner_mod, "_EXECUTOR", None)
+        built = []
+
+        class Recording(SweepExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(runner_mod, "SweepExecutor", Recording)
+        configs = {"base": ProcessorConfig.cortex_a72_like()}
+        first = run_suite(configs, WORKLOADS, instructions=INSTRUCTIONS,
+                          skip=SKIP, jobs=1)
+        again = run_suite(configs, WORKLOADS, instructions=INSTRUCTIONS,
+                          skip=SKIP, jobs=1)
+        assert built[-1].simulations_run == 0
+        assert built[-1].cache.stats.hits == len(WORKLOADS)
+        assert first == again

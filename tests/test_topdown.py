@@ -277,12 +277,10 @@ class TestCli:
         ["run", "sjeng", "--jobs", "0"],
         ["run", "sjeng", "--jobs", "-1"],
         ["suite", "--jobs", "0"],
-        ["run", "sjeng", "--batch", "-1"],
-        ["suite", "--batch", "-5"],
     ])
     def test_bad_jobs_and_batch_rejected_at_parse_time(self, capsys, argv):
-        # Regression: --jobs 0 and negative --batch used to die deep in
-        # the executor with a traceback; argparse now exits 2 up front.
+        # Regression: --jobs 0 used to die deep in the executor with a
+        # traceback; argparse now exits 2 up front.
         from repro.cli import build_parser
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
@@ -290,10 +288,3 @@ class TestCli:
         err = capsys.readouterr().err
         flag = argv[-2]
         assert flag in err
-
-    def test_batch_zero_stays_legal(self):
-        # 0 disables batching; only negatives are rejected.
-        from repro.cli import build_parser
-        args = build_parser().parse_args(
-            ["run", "sjeng", "--batch", "0", "--jobs", "2"])
-        assert args.batch == 0 and args.jobs == 2

@@ -12,7 +12,8 @@ import pytest
 
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
-from repro.trace import TraceExhaustedError, TraceReplayFrontEnd, capture_trace
+from repro.trace import TraceExhaustedError, capture_trace
+from repro.trace.replay import CHUNK, FIRST_CHUNK, SharedReplayWindow
 from repro.trace.store import TraceStore
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
@@ -114,23 +115,46 @@ def test_replay_resume_matches_live(store):
 
 
 def test_replay_frontend_cursor_semantics():
+    """A one-member window frees what its cursor has released."""
     profile = get_profile("sjeng")
     program = build_program(profile)
-    trace = capture_trace(program, profile.mem_seed, 50)
-    cursor = TraceReplayFrontEnd(trace, program)
+    trace = capture_trace(program, profile.mem_seed, 2 * CHUNK + 50)
+    window = SharedReplayWindow(trace, program, 0)
+    cursor = window.cursor()
     first = cursor.get(0)
     assert first.seq == 0 and first.inst.pc == trace.pcs[0]
-    assert cursor.get(10).seq == 10
-    assert cursor.retained == 11
+    assert cursor.get(10).seq == 10 and cursor.high == 11
+    assert window.retained == FIRST_CHUNK  # one materialized chunk
     cursor.release(5)
-    assert cursor.retained == 6
     with pytest.raises(IndexError):
         cursor.get(4)  # below the low-water mark
-    cursor.release(40)  # jump past the materialized window
-    assert cursor.retained == 0 and cursor.high == 40
-    assert cursor.get(40).seq == 40
+    cursor.release(CHUNK + 5)  # jump past the materialized window
+    assert window.retained == 0 and cursor.high == CHUNK + 5
+    assert cursor.get(CHUNK + 5).seq == CHUNK + 5
+    held = window.retained
+    cursor.release(2 * CHUNK + 10)
+    assert window.retained < held  # released records are freed
+    assert cursor.get(2 * CHUNK + 49).seq == 2 * CHUNK + 49
     with pytest.raises(TraceExhaustedError):
-        cursor.get(50)  # past the captured stream
+        cursor.get(2 * CHUNK + 50)  # past the captured stream
+
+
+def test_shared_window_keeps_records_for_every_member():
+    """One member's release never frees what another still reads."""
+    profile = get_profile("sjeng")
+    program = build_program(profile)
+    trace = capture_trace(program, profile.mem_seed, 2 * CHUNK + 50)
+    window = SharedReplayWindow(trace, program, 0)
+    first, second = window.cursor(), window.cursor()
+    first.get(10)
+    held = window.retained
+    first.release(2 * CHUNK)
+    with pytest.raises(IndexError):
+        first.get(10)
+    assert window.retained == held  # nothing freed: the second reads on
+    assert second.get(10) is window.get(10)
+    second.release(2 * CHUNK)
+    assert window.retained == 0  # both done: the window frees the span
 
 
 def test_replay_frontend_attach_requires_extension():
@@ -138,9 +162,11 @@ def test_replay_frontend_attach_requires_extension():
     program = build_program(profile)
     long_trace = capture_trace(program, profile.mem_seed, 60)
     short_trace = capture_trace(program, profile.mem_seed, 30)
-    cursor = TraceReplayFrontEnd(long_trace, program)
+    cursor = SharedReplayWindow(long_trace, program, 0).cursor()
     with pytest.raises(ValueError):
         cursor.attach(short_trace)
+    cursor.attach(long_trace)  # an equal (or longer) trace is accepted
+    assert cursor.trace is long_trace
 
 
 def test_frontend_mode_changes_job_key():
