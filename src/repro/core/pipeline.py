@@ -42,6 +42,17 @@ only at the commit of a younger writer, which retires after the consumer),
 and recovery only squashes uops younger than the branch.  The shifting and
 circular organizations compact entry positions on release, so they keep
 the legacy full-scan loop (slots there are not stable handles).
+
+Most cycles of a miss-bound program do no work in any stage, so each
+stage leaves an idle cycle early (DESIGN.md §7): commit when the ROB head
+is missing or incomplete, issue when nothing is ready or due, dispatch
+when the front end is empty or its head repeats last cycle's stall on a
+full ROB, LSQ or register file with no commit since.  Each early exit
+books exactly the counters the full path would.  :meth:`Pipeline.step`
+still runs once per simulated cycle and calls all five stage methods.
+Per-instruction traits (branch/memory class, function unit, latency,
+sources) are predecoded on each :class:`~repro.isa.instruction.
+StaticInst`, so the stages read attributes instead of calling predicates.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ from ..iq.queue import IssueQueue
 from ..iq.select import SelectLogic
 from ..isa.executor import FunctionalExecutor, TraceCursor
 from ..isa.instruction import INST_BYTES, Program
-from ..isa.opcodes import Opcode, latency as op_latency
+from ..isa.opcodes import Opcode
 from ..memory.hierarchy import MemoryHierarchy
 from ..pubs.mode_switch import ModeSwitch
 from ..pubs.slice_tracker import SliceTracker
@@ -199,6 +210,14 @@ class Pipeline:
         #: dispatch on a full *priority* partition (vs. a full IQ), so
         #: the dispatch loop books the stall under the right cause.
         self._priority_blocked = False
+        #: The front-end head that dispatch last found blocked on a full
+        #: ROB, LSQ or register file, and that bucket.  Only a commit or
+        #: a recovery can free those resources, so while neither happens
+        #: the same head hits the same stall: :meth:`_dispatch` books it
+        #: without re-checking.  :meth:`_commit` clears it; a recovery
+        #: empties the front end, so the head never matches again.
+        self._stalled_head: Optional[Uop] = None
+        self._stalled_bucket = ""
         self._last_ifetch_line = -1
         self._frontend: Deque[Uop] = deque()
         self._frontend_capacity = cfg.fetch_width * (cfg.frontend_depth + 2)
@@ -572,8 +591,14 @@ class Pipeline:
     # ==================================================================
 
     def _commit(self) -> None:
-        cycle = self.cycle
         rob = self.rob
+        head = rob.head()
+        if head is None or not head.completed:
+            # Nothing can retire: skipping the mode switch is exact, since
+            # it only acts once ``committed`` has moved since its last call.
+            return
+        self._stalled_head = None  # retiring frees ROB/LSQ/register space
+        cycle = self.cycle
         renamer = self.renamer
         stats = self.stats
         limit = self._commit_limit
@@ -669,6 +694,9 @@ class Pipeline:
 
     def _issue(self) -> None:
         if self._incremental_issue:
+            if not self._ready_now and self.cycle not in self._ready_buckets:
+                self.select_logic.stats.cycles += 1  # nothing can request
+                return
             self._issue_incremental()
         else:
             self._issue_scan()
@@ -837,7 +865,7 @@ class Pipeline:
             return 1 + self.hierarchy.l1d.config.hit_latency
         if inst.is_store:
             return 1  # address/data capture; memory written at commit
-        return op_latency(inst.opcode)
+        return inst.latency
 
     # ==================================================================
     # Dispatch (decode + rename + IQ/ROB/LSQ allocation)
@@ -845,10 +873,18 @@ class Pipeline:
 
     def _dispatch(self) -> None:
         cfg = self.config
+        frontend = self._frontend
+        if not frontend:
+            self._book_frontend_bubble(cfg.decode_width)
+            return
+        if frontend[0] is self._stalled_head:
+            # The same blocked head as last cycle, with nothing freed
+            # since: the stall repeats, all decode slots unfilled.
+            self._book_backend_stall(self._stalled_bucket, cfg.decode_width)
+            return
         cycle = self.cycle
         earliest = cycle - cfg.frontend_depth
         pubs_on = cfg.pubs.enabled
-        frontend = self._frontend
         rob = self.rob
         lsq = self.lsq
         renamer = self.renamer
@@ -870,33 +906,27 @@ class Pipeline:
                 if pubs_on:
                     uop.unconfident = self.slice_tracker.on_decode(uop.inst)
             if rob.is_full():
-                stats.dispatch_stall_cycles += 1
-                stats.rob_full_stall_cycles += 1
-                stall_bucket = "rob"
+                stall_bucket = self._stalled_bucket = "rob"
+                self._stalled_head = uop
                 break
             if uop.inst.is_mem and lsq.is_full():
-                stats.dispatch_stall_cycles += 1
-                stats.lsq_full_stall_cycles += 1
-                stall_bucket = "lsq"
+                stall_bucket = self._stalled_bucket = "lsq"
+                self._stalled_head = uop
                 break
             if not renamer.can_rename(uop):
-                stats.dispatch_stall_cycles += 1
-                stats.regs_full_stall_cycles += 1
-                stall_bucket = "regs"
+                stall_bucket = self._stalled_bucket = "regs"
+                self._stalled_head = uop
                 break
             slot = self._allocate_iq_slot(uop)
             if slot is None:
-                stats.dispatch_stall_cycles += 1
                 if self._priority_blocked:
                     # The stall policy blocked on the priority partition
                     # while the rest of the IQ may have space: a distinct
                     # cause, kept disjoint from iq_full so the per-cause
                     # split sums to dispatch_stall_cycles.
                     self._priority_blocked = False
-                    stats.priority_stall_cycles += 1
                     stall_bucket = "priority"
                 else:
-                    stats.iq_full_stall_cycles += 1
                     stall_bucket = "iq"
                 break
             frontend.popleft()
@@ -919,32 +949,49 @@ class Pipeline:
             dispatched += 1
         if dispatched:
             self._bubble_reason = "fetch"
-        leftover = cfg.decode_width - dispatched
-        if not leftover:
-            return
-        if stall_bucket is None:
-            # Front end empty (or its head still too young): a frontend
-            # bubble.  While a fetch stall is active the reason is exact;
-            # afterwards the refill bubbles keep the stall's reason until
-            # the first dispatch resets it to plain fetch bandwidth.
-            reason = self._fetch_stall_reason \
-                if cycle < self._fetch_resume_cycle else self._bubble_reason
-            if reason == "recovery":
-                stats.td_recovery_slots += leftover
-            elif reason == "l1i":
-                stats.td_fe_l1i_slots += leftover
-            else:
-                stats.td_fe_fetch_slots += leftover
-        elif stall_bucket == "rob":
-            stats.td_be_rob_slots += leftover
-        elif stall_bucket == "iq":
-            stats.td_be_iq_slots += leftover
-        elif stall_bucket == "lsq":
-            stats.td_be_lsq_slots += leftover
-        elif stall_bucket == "regs":
-            stats.td_be_regs_slots += leftover
+        if stall_bucket is not None:
+            self._book_backend_stall(stall_bucket,
+                                     cfg.decode_width - dispatched)
+        elif dispatched < cfg.decode_width:
+            self._book_frontend_bubble(cfg.decode_width - dispatched)
+
+    def _book_frontend_bubble(self, leftover: int) -> None:
+        """Book ``leftover`` decode slots the front end left empty.
+
+        The front end is empty (or its head still too young).  While a
+        fetch stall is active the reason is exact; afterwards the refill
+        bubbles keep the stall's reason until the first dispatch resets
+        it to plain fetch bandwidth.
+        """
+        stats = self.stats
+        reason = self._fetch_stall_reason \
+            if self.cycle < self._fetch_resume_cycle else self._bubble_reason
+        if reason == "recovery":
+            stats.td_recovery_slots += leftover
+        elif reason == "l1i":
+            stats.td_fe_l1i_slots += leftover
         else:
+            stats.td_fe_fetch_slots += leftover
+
+    def _book_backend_stall(self, bucket: str, leftover: int) -> None:
+        """Book a dispatch stall on ``bucket`` and its unfilled slots."""
+        stats = self.stats
+        stats.dispatch_stall_cycles += 1
+        if bucket == "regs":
+            stats.regs_full_stall_cycles += 1
+            stats.td_be_regs_slots += leftover
+        elif bucket == "priority":
+            stats.priority_stall_cycles += 1
             stats.td_be_priority_slots += leftover
+        elif bucket == "rob":
+            stats.rob_full_stall_cycles += 1
+            stats.td_be_rob_slots += leftover
+        elif bucket == "iq":
+            stats.iq_full_stall_cycles += 1
+            stats.td_be_iq_slots += leftover
+        else:
+            stats.lsq_full_stall_cycles += 1
+            stats.td_be_lsq_slots += leftover
 
     def _allocate_iq_slot(self, uop: Uop) -> Optional[int]:
         """IQ entry allocation implementing the PUBS dispatch policies."""

@@ -76,7 +76,7 @@ class Renamer:
     def rename(self, uop: Uop) -> None:
         """Rename ``uop`` in program order (caller checked capacity)."""
         inst = uop.inst
-        uop.src_phys = tuple(self.map[src] for src in inst.sources())
+        uop.src_phys = tuple([self.map[src] for src in inst.srcs])
         dest = inst.dest
         if dest is None:
             return

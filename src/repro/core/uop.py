@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from ..isa.instruction import StaticInst
-from ..isa.opcodes import FuClass, fu_class
+from ..isa.opcodes import FuClass
 
 #: Sentinel ready-cycle for a value that is not yet scheduled to be ready.
 NEVER = 1 << 60
@@ -36,7 +36,7 @@ class Uop:
                  on_correct_path: bool, trace_seq: int = -1):
         self.seq = seq
         self.inst = inst
-        self.fu: FuClass = fu_class(inst.opcode)
+        self.fu: FuClass = inst.fu
         self.on_correct_path = on_correct_path
         self.trace_seq = trace_seq
         self.fetch_cycle = fetch_cycle

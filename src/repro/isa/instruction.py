@@ -10,11 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .opcodes import Opcode, is_branch, is_conditional_branch, is_load, is_mem, is_store
+from .opcodes import OP_TRAITS, Opcode, OpTraits
 from .registers import NUM_LOGICAL_REGS, reg_name
 
 #: Byte distance between consecutive instructions.
 INST_BYTES = 4
+
+#: One ``srcs`` tuple per (src1, src2) pair, shared by every instruction
+#: with those sources: predecoding then adds no per-instruction object
+#: for the garbage collector to track (a program build stays as cheap as
+#: before, collections included).
+_SHARED_SRCS: Dict[Tuple[Optional[int], Optional[int]], Tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -24,6 +30,15 @@ class StaticInst:
     ``dest`` and the sources are flat logical register indices (0..63) or
     ``None``.  ``imm`` is the immediate operand (also the address offset of
     loads/stores).  ``target`` is the taken-path PC of branches.
+
+    Construction predecodes what the timing model asks of every dynamic
+    copy into plain attributes: ``is_branch``, ``is_conditional_branch``,
+    ``is_load``, ``is_store``, ``is_mem``, ``fu`` (the
+    :class:`~repro.isa.opcodes.FuClass`), ``latency`` (the opcode's base
+    latency) and ``srcs`` (the source registers, as :meth:`sources`
+    returns them).  They are not dataclass fields, so equality, hashing
+    and the canonical encoding behind trace fingerprints and job keys
+    see the seven fields above only.
     """
 
     pc: int
@@ -38,45 +53,31 @@ class StaticInst:
         for r in (self.dest, self.src1, self.src2):
             if r is not None and not 0 <= r < NUM_LOGICAL_REGS:
                 raise ValueError(f"register index out of range: {r}")
-        if is_branch(self.opcode) and self.target is None:
+        traits = OP_TRAITS[self.opcode]
+        if traits.is_branch and self.target is None:
             raise ValueError(f"branch at pc={self.pc:#x} lacks a target")
-        if self.target is not None and not is_branch(self.opcode):
+        if self.target is not None and not traits.is_branch:
             raise ValueError(f"non-branch at pc={self.pc:#x} has a target")
-
-    @property
-    def is_branch(self) -> bool:
-        return is_branch(self.opcode)
-
-    @property
-    def is_conditional_branch(self) -> bool:
-        return is_conditional_branch(self.opcode)
-
-    @property
-    def is_load(self) -> bool:
-        return is_load(self.opcode)
-
-    @property
-    def is_store(self) -> bool:
-        return is_store(self.opcode)
-
-    @property
-    def is_mem(self) -> bool:
-        return is_mem(self.opcode)
+        # object.__setattr__ gets past the frozen guard and, unlike a
+        # __dict__.update, keeps CPython's fast inline attribute layout.
+        put = object.__setattr__
+        for name, value in zip(OpTraits._fields, traits):
+            put(self, name, value)
+        key = (self.src1, self.src2)
+        srcs = _SHARED_SRCS.get(key)
+        if srcs is None:
+            srcs = _SHARED_SRCS[key] = tuple(r for r in key if r is not None)
+        put(self, "srcs", srcs)
 
     def sources(self) -> Tuple[int, ...]:
         """The logical source registers, in operand order."""
-        srcs = []
-        if self.src1 is not None:
-            srcs.append(self.src1)
-        if self.src2 is not None:
-            srcs.append(self.src2)
-        return tuple(srcs)
+        return self.srcs
 
     def __str__(self) -> str:
         parts = [f"{self.pc:#06x}: {self.opcode.name.lower()}"]
         if self.dest is not None:
             parts.append(reg_name(self.dest))
-        for s in self.sources():
+        for s in self.srcs:
             parts.append(reg_name(s))
         if self.imm:
             parts.append(f"#{self.imm}")

@@ -14,6 +14,7 @@ paper's Table I (ARM Cortex-A72-like).
 from __future__ import annotations
 
 import enum
+from typing import NamedTuple
 
 
 class FuClass(enum.IntEnum):
@@ -145,3 +146,24 @@ def fu_class(op: Opcode) -> FuClass:
 def latency(op: Opcode) -> int:
     """Base execution latency of ``op`` in cycles (1 unless overridden)."""
     return _LATENCY.get(op, 1)
+
+
+class OpTraits(NamedTuple):
+    """Everything the timing model asks of an opcode, decoded once."""
+
+    is_branch: bool
+    is_conditional_branch: bool
+    is_load: bool
+    is_store: bool
+    is_mem: bool
+    fu: FuClass
+    latency: int
+
+
+#: Per-opcode traits, built once at import; each
+#: :class:`~repro.isa.instruction.StaticInst` copies its opcode's row.
+OP_TRAITS = {
+    op: OpTraits(is_branch(op), is_conditional_branch(op), is_load(op),
+                 is_store(op), is_mem(op), fu_class(op), latency(op))
+    for op in Opcode
+}

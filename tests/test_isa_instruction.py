@@ -1,5 +1,8 @@
 """Unit tests for static instructions, programs, and the builder."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.isa import (
@@ -8,8 +11,26 @@ from repro.isa import (
     Program,
     ProgramBuilder,
     StaticInst,
+    fu_class,
     int_reg,
+    is_branch,
+    is_conditional_branch,
+    is_load,
+    is_mem,
+    is_store,
+    latency,
 )
+
+
+def _any_inst(op):
+    """A well-formed instruction of opcode ``op`` with two sources."""
+    target = 0 if is_branch(op) else None
+    return StaticInst(0, op, dest=1, src1=2, src2=3, target=target)
+
+
+def _traits(inst):
+    return (inst.is_branch, inst.is_conditional_branch, inst.is_load,
+            inst.is_store, inst.is_mem, inst.fu, inst.latency, inst.srcs)
 
 
 def _mov(pc, dest, imm=0):
@@ -45,6 +66,39 @@ class TestStaticInst:
         assert br.is_branch and br.is_conditional_branch
         ld = StaticInst(0, Opcode.LOAD, dest=1, src1=2)
         assert ld.is_load and ld.is_mem and not ld.is_store
+
+    @pytest.mark.parametrize("op", list(Opcode), ids=lambda op: op.name)
+    def test_predecoded_traits_match_the_opcode_table(self, op):
+        inst = _any_inst(op)
+        assert _traits(inst) == (
+            is_branch(op), is_conditional_branch(op), is_load(op),
+            is_store(op), is_mem(op), fu_class(op), latency(op), (2, 3))
+        assert inst.sources() is inst.srcs
+
+    def test_traits_survive_pickle_and_replace(self):
+        for op in Opcode:
+            inst = _any_inst(op)
+            copy = pickle.loads(pickle.dumps(inst))
+            assert copy == inst and _traits(copy) == _traits(inst)
+        load = StaticInst(8, Opcode.LOAD, dest=1, src1=2, imm=16)
+        add = dataclasses.replace(load, opcode=Opcode.ADD, src2=4)
+        assert not add.is_load and not add.is_mem and add.srcs == (2, 4)
+        assert _traits(dataclasses.replace(load)) == _traits(load)
+
+    def test_traits_are_not_dataclass_fields(self):
+        # Fields feed equality and the canonical encoding behind trace
+        # fingerprints and job keys; the traits must stay out of both.
+        names = [f.name for f in dataclasses.fields(StaticInst)]
+        assert names == ["pc", "opcode", "dest", "src1", "src2", "imm",
+                         "target"]
+
+    def test_program_fingerprint_is_unchanged(self):
+        from repro.trace.store import program_fingerprint
+        from repro.workloads.generator import build_program
+        from repro.workloads.profiles import get_profile
+        assert program_fingerprint(build_program(get_profile("sjeng")), 0) \
+            == ("768ea2d5cc5f83792e67e6243e05ed1e"
+                "63cd54f68c0d4e8388ee230251ae64ad")
 
     def test_str_contains_opcode_and_registers(self):
         inst = StaticInst(0, Opcode.ADD, dest=3, src1=33, src2=9)

@@ -17,6 +17,7 @@ import pytest
 
 from repro import ProcessorConfig
 from repro.analysis import run_workload
+from repro.pubs import PubsConfig
 
 BASE = ProcessorConfig.cortex_a72_like()
 
@@ -194,3 +195,90 @@ def test_stats_match_seed_golden_replay(tag, trace_store):
         mem_seed=profile.mem_seed, trace_source=trace_store)
     assert result.frontend_mode == "replay"
     _check_against_golden(result, tag)
+
+
+# ----------------------------------------------------------------------
+# Idle-cycle early exits
+# ----------------------------------------------------------------------
+
+#: mcf spends most cycles stalled on misses, and a 512-instruction
+#: mode-switch window rolls over inside those stretches, so the early
+#: exits of idle commit / issue / dispatch stages run while windows
+#: close.  ``region`` replays one sampled region whose detailed warm-up
+#: resets SimStats mid-run.  Values captured before the early exits.
+IDLE_PUBS = BASE.with_pubs(PubsConfig(mode_switch_interval=512))
+IDLE_RUNS = {
+    "live": (IDLE_PUBS, 4000, 2000),
+    "region": (IDLE_PUBS.with_region(7000, 2000, 1500), 3000, 0),
+}
+IDLE_GOLDEN = {
+    "live": {
+        "stats": {
+            "cycles": 33304, "committed": 4000, "fetched": 8036,
+            "wrong_path_fetched": 3916, "cond_branches": 203,
+            "mispredictions": 56, "btb_misses_taken": 0,
+            "missspec_penalty_cycles": 17429,
+            "missspec_frontend_cycles": 1870,
+            "missspec_iq_wait_cycles": 15502, "missspec_execute_cycles": 57,
+            "dispatch_stall_cycles": 30992, "rob_full_stall_cycles": 0,
+            "iq_full_stall_cycles": 0, "lsq_full_stall_cycles": 0,
+            "regs_full_stall_cycles": 29906, "priority_stall_cycles": 1086,
+            "priority_dispatches": 314, "unconfident_dispatches": 1400,
+            "td_retire_slots": 4106, "td_wrongpath_slots": 2346,
+            "td_recovery_slots": 3420, "td_fe_fetch_slots": 270,
+            "td_fe_l1i_slots": 0, "td_be_rob_slots": 0,
+            "td_be_iq_slots": 0, "td_be_lsq_slots": 0,
+            "td_be_regs_slots": 118930, "td_be_priority_slots": 4144,
+            "iq_occupancy_sum": 349496, "llc_misses": 416,
+            "l1d_misses": 416, "l1i_misses": 0, "smt_injections": 0,
+        },
+        "windows": 7, "disabled_windows": 7, "select_cycles": 33304,
+    },
+    "region": {
+        "stats": {
+            "cycles": 24721, "committed": 3000, "fetched": 6202,
+            "wrong_path_fetched": 3164, "cond_branches": 152,
+            "mispredictions": 48, "btb_misses_taken": 0,
+            "missspec_penalty_cycles": 14894,
+            "missspec_frontend_cycles": 850,
+            "missspec_iq_wait_cycles": 13998, "missspec_execute_cycles": 46,
+            "dispatch_stall_cycles": 22871, "rob_full_stall_cycles": 0,
+            "iq_full_stall_cycles": 0, "lsq_full_stall_cycles": 0,
+            "regs_full_stall_cycles": 22871, "priority_stall_cycles": 0,
+            "priority_dispatches": 0, "unconfident_dispatches": 0,
+            "td_retire_slots": 3011, "td_wrongpath_slots": 1914,
+            "td_recovery_slots": 2760, "td_fe_fetch_slots": 246,
+            "td_fe_l1i_slots": 0, "td_be_rob_slots": 0,
+            "td_be_iq_slots": 0, "td_be_lsq_slots": 0,
+            "td_be_regs_slots": 90953, "td_be_priority_slots": 0,
+            "iq_occupancy_sum": 262825, "llc_misses": 307,
+            "l1d_misses": 307, "l1i_misses": 0, "smt_injections": 0,
+        },
+        "windows": 5, "disabled_windows": 5, "select_cycles": 37405,
+    },
+}
+
+
+@pytest.mark.parametrize("tag", sorted(IDLE_RUNS))
+def test_idle_cycle_early_exits_are_exact(tag, tmp_path):
+    from repro.core.pipeline import Pipeline
+    from repro.trace.store import TraceStore
+    from repro.workloads.generator import build_program
+    from repro.workloads.profiles import get_profile
+
+    config, instructions, skip = IDLE_RUNS[tag]
+    profile = get_profile("mcf")
+    pipeline = Pipeline(build_program(profile), config,
+                        mem_seed=profile.mem_seed,
+                        trace_source=TraceStore(root=tmp_path,
+                                                persistent=False))
+    stats = pipeline.run(instructions, skip)
+    golden = IDLE_GOLDEN[tag]
+    assert dataclasses.asdict(stats) == golden["stats"]
+    assert pipeline.mode_switch.stats.windows == golden["windows"]
+    assert (pipeline.mode_switch.stats.disabled_windows
+            == golden["disabled_windows"])
+    # The random IQ's select logic counts every cycle, idle ones included
+    # (a region's discarded detail cycles too: they are not reset).
+    assert pipeline.select_logic.stats.cycles == golden["select_cycles"]
+    assert pipeline.select_logic.stats.cycles == pipeline.cycle

@@ -278,7 +278,7 @@ class TestCli:
         ["run", "sjeng", "--jobs", "-1"],
         ["suite", "--jobs", "0"],
     ])
-    def test_bad_jobs_and_batch_rejected_at_parse_time(self, capsys, argv):
+    def test_bad_jobs_rejected_at_parse_time(self, capsys, argv):
         # Regression: --jobs 0 used to die deep in the executor with a
         # traceback; argparse now exits 2 up front.
         from repro.cli import build_parser
