@@ -71,7 +71,13 @@ from ..iq.distributed import DistributedIssueQueue, DistributedSelectLogic
 from ..iq.ordered import CircularQueue, ShiftingQueue
 from ..iq.queue import IssueQueue
 from ..iq.select import SelectLogic
-from ..isa.executor import FunctionalExecutor, TraceCursor
+from ..isa.executor import (
+    FLAG_COND_BRANCH,
+    FLAG_MEM,
+    FLAG_TAKEN,
+    FunctionalExecutor,
+    TraceCursor,
+)
 from ..isa.instruction import INST_BYTES, Program
 from ..isa.opcodes import Opcode
 from ..memory.hierarchy import MemoryHierarchy
@@ -492,7 +498,6 @@ class Pipeline:
         the hierarchy -- same calls in the same order, so the resulting
         warm state is bit-identical to the per-record walk.
         """
-        from ..trace.format import FLAG_MEM  # deferred: import cycle
         if end <= start:
             return
         pcs = trace.pcs
@@ -536,7 +541,6 @@ class Pipeline:
         only conditional branches train the predictor complex, so the
         Python loop skips straight to them.
         """
-        from ..trace.format import FLAG_COND_BRANCH, FLAG_TAKEN  # deferred
         pcs = trace.pcs
         flags = trace.flags
         next_pcs = trace.next_pcs

@@ -14,6 +14,7 @@ effectively random data without materializing gigabytes.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional
 
@@ -86,8 +87,71 @@ class DynamicOp:
     mem_addr: Optional[int]  #: effective address of loads/stores, else None
 
 
+#: Per-record flag bits of a recorded trace (:mod:`repro.trace.format`
+#: re-exports them; :meth:`FunctionalExecutor.record` writes them).
+FLAG_TAKEN = 1  #: branch outcome (conditional branches and jumps)
+FLAG_COND_BRANCH = 2  #: the instruction is a conditional branch
+FLAG_MEM = 4  #: the record carries an effective memory address
+FLAG_WB = 8  #: the record carries a register write-back value
+
+# Decoded operation kinds.  Opcodes with identical semantics share a kind
+# (the FP opcodes compute on 64-bit integer payloads; SUBI is ADDI of the
+# negated immediate).  The first eleven are numbered in dynamic-frequency
+# order over the profile and stress programs, which is the order both
+# loops test them in; :meth:`FunctionalExecutor.record` inlines exactly
+# those and hands the rest to :meth:`FunctionalExecutor.step`.
+(_ADDI, _ADD, _ANDI, _MUL, _LOAD, _XORI, _BNEZ, _STORE, _JUMP, _BEQZ, _MOVI,
+ _NOP, _SUB, _AND, _OR, _XOR, _SHL, _SHR, _DIV, _BEQ, _BNE, _BLT,
+ _BGE) = range(23)
+_RECORD_INLINED = _MOVI
+
+_KIND = {
+    Opcode.NOP: _NOP, Opcode.MOVI: _MOVI, Opcode.FMOVI: _MOVI,
+    Opcode.ADD: _ADD, Opcode.FADD: _ADD, Opcode.SUB: _SUB,
+    Opcode.FSUB: _SUB, Opcode.AND: _AND, Opcode.OR: _OR, Opcode.XOR: _XOR,
+    Opcode.SHL: _SHL, Opcode.SHR: _SHR, Opcode.ADDI: _ADDI,
+    Opcode.SUBI: _ADDI, Opcode.ANDI: _ANDI, Opcode.XORI: _XORI,
+    Opcode.MUL: _MUL, Opcode.FMUL: _MUL, Opcode.DIV: _DIV,
+    Opcode.FDIV: _DIV, Opcode.LOAD: _LOAD, Opcode.STORE: _STORE,
+    Opcode.BEQ: _BEQ, Opcode.BNE: _BNE, Opcode.BLT: _BLT, Opcode.BGE: _BGE,
+    Opcode.BEQZ: _BEQZ, Opcode.BNEZ: _BNEZ, Opcode.JUMP: _JUMP,
+}
+
+
+def _decode(inst: StaticInst, fallthrough_pc: int) -> tuple:
+    """One decode-table entry: ``(kind, dest, src1, src2, imm, target,
+    fallthrough_pc, pc, static_flags, inst)``.
+
+    ``imm`` is reduced mod 2^64 (negated for SUBI), which every use of it
+    tolerates: sums and differences are masked afterwards, and addresses
+    keep only low bits.  ``static_flags`` holds the record flag bits an
+    instruction sets whatever its operands: conditional branch, memory,
+    write-back, and taken for the always-taken JUMP.
+    """
+    op = inst.opcode
+    imm = -inst.imm if op is Opcode.SUBI else inst.imm
+    flags = 0
+    if inst.is_conditional_branch:
+        flags |= FLAG_COND_BRANCH
+    if inst.is_mem:
+        flags |= FLAG_MEM
+    if inst.dest is not None:
+        flags |= FLAG_WB
+    if op is Opcode.JUMP:
+        flags |= FLAG_TAKEN
+    return (_KIND[op], inst.dest, inst.src1, inst.src2, imm & _MASK64,
+            inst.target, fallthrough_pc, inst.pc, flags, inst)
+
+
 class FunctionalExecutor:
-    """Steps a :class:`Program` architecturally, yielding the true trace."""
+    """Steps a :class:`Program` architecturally, yielding the true trace.
+
+    Construction predecodes the program into one table indexed by
+    ``pc >> 2`` (see :func:`_decode`); :meth:`step` and :meth:`record`
+    both execute off it, dispatching on a small-int operation kind
+    instead of the opcode enum and reading the wrapped fall-through PC
+    from the entry instead of asking the :class:`Program`.
+    """
 
     def __init__(self, program: Program, mem_seed: int = 0):
         self.program = program
@@ -95,6 +159,8 @@ class FunctionalExecutor:
         self.memory = SparseMemory(seed=mem_seed)
         self.pc = program.entry_pc
         self._seq = 0
+        self._table = [_decode(inst, program.next_pc(inst.pc))
+                       for inst in program.insts]
 
     @classmethod
     def from_state(cls, program: Program, mem_seed: int,
@@ -121,77 +187,158 @@ class FunctionalExecutor:
 
     def step(self) -> DynamicOp:
         """Execute one instruction and return its trace record."""
-        inst = self.program.at(self.pc)
+        (kind, dest, src1, src2, imm, target, next_pc, _pc, _flags,
+         inst) = self._table[self.pc >> 2]
         regs = self.regs
-        op = inst.opcode
         taken = False
         mem_addr: Optional[int] = None
-        next_pc = self.pc + 4
-        if not self.program.contains(next_pc):
-            next_pc = self.program.entry_pc
-
-        if op is Opcode.NOP:
-            pass
-        elif op is Opcode.MOVI or op is Opcode.FMOVI:
-            regs[inst.dest] = inst.imm & _MASK64
-        elif op is Opcode.ADD or op is Opcode.FADD:
-            regs[inst.dest] = (regs[inst.src1] + regs[inst.src2]) & _MASK64
-        elif op is Opcode.SUB or op is Opcode.FSUB:
-            regs[inst.dest] = (regs[inst.src1] - regs[inst.src2]) & _MASK64
-        elif op is Opcode.AND:
-            regs[inst.dest] = regs[inst.src1] & regs[inst.src2]
-        elif op is Opcode.OR:
-            regs[inst.dest] = regs[inst.src1] | regs[inst.src2]
-        elif op is Opcode.XOR:
-            regs[inst.dest] = regs[inst.src1] ^ regs[inst.src2]
-        elif op is Opcode.SHL:
-            regs[inst.dest] = (regs[inst.src1] << (regs[inst.src2] & 63)) & _MASK64
-        elif op is Opcode.SHR:
-            regs[inst.dest] = regs[inst.src1] >> (regs[inst.src2] & 63)
-        elif op is Opcode.ADDI:
-            regs[inst.dest] = (regs[inst.src1] + inst.imm) & _MASK64
-        elif op is Opcode.SUBI:
-            regs[inst.dest] = (regs[inst.src1] - inst.imm) & _MASK64
-        elif op is Opcode.ANDI:
-            regs[inst.dest] = regs[inst.src1] & (inst.imm & _MASK64)
-        elif op is Opcode.XORI:
-            regs[inst.dest] = regs[inst.src1] ^ (inst.imm & _MASK64)
-        elif op is Opcode.MUL or op is Opcode.FMUL:
-            regs[inst.dest] = (regs[inst.src1] * regs[inst.src2]) & _MASK64
-        elif op is Opcode.DIV or op is Opcode.FDIV:
-            divisor = regs[inst.src2]
-            regs[inst.dest] = regs[inst.src1] // divisor if divisor else 0
-        elif op is Opcode.LOAD:
-            mem_addr = (regs[inst.src1] + inst.imm) & _ADDR_MASK
-            regs[inst.dest] = self.memory.read(mem_addr)
-        elif op is Opcode.STORE:
-            mem_addr = (regs[inst.src2] + inst.imm) & _ADDR_MASK
-            self.memory.write(mem_addr, regs[inst.src1])
-        elif op is Opcode.JUMP:
+        if kind == _ADDI:
+            regs[dest] = (regs[src1] + imm) & _MASK64
+        elif kind == _ADD:
+            regs[dest] = (regs[src1] + regs[src2]) & _MASK64
+        elif kind == _ANDI:
+            regs[dest] = regs[src1] & imm
+        elif kind == _MUL:
+            regs[dest] = (regs[src1] * regs[src2]) & _MASK64
+        elif kind == _LOAD:
+            mem_addr = (regs[src1] + imm) & _ADDR_MASK
+            regs[dest] = self.memory.read(mem_addr)
+        elif kind == _XORI:
+            regs[dest] = regs[src1] ^ imm
+        elif kind == _BNEZ:
+            taken = regs[src1] != 0
+        elif kind == _STORE:
+            mem_addr = (regs[src2] + imm) & _ADDR_MASK
+            self.memory.write(mem_addr, regs[src1])
+        elif kind == _JUMP:
             taken = True
-            next_pc = inst.target
-        elif op is Opcode.BEQ:
-            taken = regs[inst.src1] == regs[inst.src2]
-        elif op is Opcode.BNE:
-            taken = regs[inst.src1] != regs[inst.src2]
-        elif op is Opcode.BLT:
-            taken = to_signed(regs[inst.src1]) < to_signed(regs[inst.src2])
-        elif op is Opcode.BGE:
-            taken = to_signed(regs[inst.src1]) >= to_signed(regs[inst.src2])
-        elif op is Opcode.BEQZ:
-            taken = regs[inst.src1] == 0
-        elif op is Opcode.BNEZ:
-            taken = regs[inst.src1] != 0
-        else:  # pragma: no cover - enum is exhaustive
-            raise NotImplementedError(op)
-
-        if inst.is_conditional_branch and taken:
-            next_pc = inst.target
-
+        elif kind == _BEQZ:
+            taken = regs[src1] == 0
+        elif kind == _MOVI:
+            regs[dest] = imm
+        elif kind == _NOP:
+            pass
+        elif kind == _SUB:
+            regs[dest] = (regs[src1] - regs[src2]) & _MASK64
+        elif kind == _AND:
+            regs[dest] = regs[src1] & regs[src2]
+        elif kind == _OR:
+            regs[dest] = regs[src1] | regs[src2]
+        elif kind == _XOR:
+            regs[dest] = regs[src1] ^ regs[src2]
+        elif kind == _SHL:
+            regs[dest] = (regs[src1] << (regs[src2] & 63)) & _MASK64
+        elif kind == _SHR:
+            regs[dest] = regs[src1] >> (regs[src2] & 63)
+        elif kind == _DIV:
+            divisor = regs[src2]
+            regs[dest] = regs[src1] // divisor if divisor else 0
+        elif kind == _BEQ:
+            taken = regs[src1] == regs[src2]
+        elif kind == _BNE:
+            taken = regs[src1] != regs[src2]
+        elif kind == _BLT:
+            taken = to_signed(regs[src1]) < to_signed(regs[src2])
+        else:  # _BGE
+            taken = to_signed(regs[src1]) >= to_signed(regs[src2])
+        if taken:
+            next_pc = target
         record = DynamicOp(self._seq, inst, taken, next_pc, mem_addr)
         self._seq += 1
         self.pc = next_pc
         return record
+
+    def record(self, count: int, pcs: array, flags: bytearray,
+               next_pcs: array, mem_addrs: array, wb_values: array) -> None:
+        """Execute ``count`` instructions, appending their trace records
+        to the five parallel arrays of :class:`~repro.trace.format.Trace`.
+
+        Produces exactly what ``count`` :meth:`step` calls would (the
+        tests hold the two loops equal), without a :class:`DynamicOp` per
+        record: the hot operation kinds execute inline on local state,
+        and the rare ones go through :meth:`step`.
+        """
+        table = self._table
+        regs = self.regs
+        words = self.memory._words
+        seed = self.memory.seed
+        get_word = words.get
+        pc = self.pc
+        seq = self._seq
+        pcs_append = pcs.append
+        flags_append = flags.append
+        next_append = next_pcs.append
+        mem_append = mem_addrs.append
+        wb_append = wb_values.append
+        mask = _MASK64
+        addr_mask = _ADDR_MASK
+        for _ in range(count):
+            (kind, dest, src1, src2, imm, target, next_pc, pc, f,
+             _inst) = table[pc >> 2]
+            if kind == _ADDI:
+                value = regs[dest] = (regs[src1] + imm) & mask
+                mem_append(0)
+                wb_append(value)
+            elif kind == _ADD:
+                value = regs[dest] = (regs[src1] + regs[src2]) & mask
+                mem_append(0)
+                wb_append(value)
+            elif kind == _ANDI:
+                value = regs[dest] = regs[src1] & imm
+                mem_append(0)
+                wb_append(value)
+            elif kind == _MUL:
+                value = regs[dest] = (regs[src1] * regs[src2]) & mask
+                mem_append(0)
+                wb_append(value)
+            elif kind == _LOAD:
+                addr = (regs[src1] + imm) & addr_mask
+                value = get_word(addr)
+                if value is None:
+                    value = mix64(addr ^ seed)
+                regs[dest] = value
+                mem_append(addr)
+                wb_append(value)
+            elif kind == _XORI:
+                value = regs[dest] = regs[src1] ^ imm
+                mem_append(0)
+                wb_append(value)
+            elif kind <= _RECORD_INLINED:
+                if kind == _BNEZ:
+                    if regs[src1]:
+                        f |= FLAG_TAKEN
+                        next_pc = target
+                    mem_append(0)
+                elif kind == _STORE:
+                    addr = (regs[src2] + imm) & addr_mask
+                    words[addr] = regs[src1] & mask
+                    mem_append(addr)
+                elif kind == _JUMP:
+                    next_pc = target
+                    mem_append(0)
+                elif kind == _BEQZ:
+                    if not regs[src1]:
+                        f |= FLAG_TAKEN
+                        next_pc = target
+                    mem_append(0)
+                else:  # _MOVI
+                    regs[dest] = imm
+                    mem_append(0)
+                wb_append(regs[dest] if dest is not None else 0)
+            else:  # a cold kind: no memory operand
+                self.pc = pc
+                op = self.step()
+                if op.taken:
+                    f |= FLAG_TAKEN
+                next_pc = op.next_pc
+                mem_append(0)
+                wb_append(regs[dest] if dest is not None else 0)
+            pcs_append(pc)
+            flags_append(f)
+            next_append(next_pc)
+            pc = next_pc
+        self.pc = pc
+        self._seq = seq + count
 
     def run(self, count: int) -> List[DynamicOp]:
         """Execute ``count`` instructions and return their records."""

@@ -1,15 +1,16 @@
 """Trace capture: one functional execution pass per (program, mem_seed).
 
-:func:`capture_trace` steps a fresh :class:`~repro.isa.executor.
-FunctionalExecutor` for ``length`` instructions and records each
-:class:`~repro.isa.executor.DynamicOp` into the parallel arrays of
-:class:`~repro.trace.format.Trace`, snapshotting the architectural state
+:func:`capture_trace` runs a fresh :class:`~repro.isa.executor.
+FunctionalExecutor` for ``length`` instructions, its
+:meth:`~repro.isa.executor.FunctionalExecutor.record` loop appending
+straight into the parallel arrays of :class:`~repro.trace.format.Trace`
+(no per-record object), and snapshots the architectural state
 after ``skip`` records, at every positive multiple of
 ``checkpoint_interval`` inside the stream, and at the end.
 
 :func:`extend_trace` grows an existing trace without re-executing its
 prefix: it restores an executor from the end checkpoint and continues
-stepping, carrying the interval-checkpoint cadence forward.  Functional
+recording, carrying the interval-checkpoint cadence forward.  Functional
 execution is deterministic, so an extended trace is bit-identical to a
 longer fresh capture (pinned by the format tests).
 """
@@ -20,43 +21,7 @@ from array import array
 
 from ..isa.executor import FunctionalExecutor
 from ..isa.instruction import Program
-from .format import (
-    DEFAULT_CHECKPOINT_INTERVAL,
-    FLAG_COND_BRANCH,
-    FLAG_MEM,
-    FLAG_TAKEN,
-    FLAG_WB,
-    ArchCheckpoint,
-    Trace,
-)
-
-
-def _record_stream(executor: FunctionalExecutor, count: int,
-                   pcs: array, flags: bytearray, next_pcs: array,
-                   mem_addrs: array, wb_values: array) -> None:
-    """Append ``count`` records of ``executor``'s stream to the arrays."""
-    regs = executor.regs
-    for _ in range(count):
-        record = executor.step()
-        inst = record.inst
-        f = 0
-        if record.taken:
-            f |= FLAG_TAKEN
-        if inst.is_conditional_branch:
-            f |= FLAG_COND_BRANCH
-        if record.mem_addr is not None:
-            f |= FLAG_MEM
-            mem_addrs.append(record.mem_addr)
-        else:
-            mem_addrs.append(0)
-        if inst.dest is not None:
-            f |= FLAG_WB
-            wb_values.append(regs[inst.dest])
-        else:
-            wb_values.append(0)
-        pcs.append(inst.pc)
-        flags.append(f)
-        next_pcs.append(record.next_pc)
+from .format import DEFAULT_CHECKPOINT_INTERVAL, ArchCheckpoint, Trace
 
 
 def _snapshot_points(start: int, length: int, interval: int,
@@ -103,8 +68,8 @@ def capture_trace(program: Program, mem_seed: int, length: int,
     intervals = []
     pos = 0
     for point in _snapshot_points(0, length, checkpoint_interval, skip):
-        _record_stream(executor, point - pos, pcs, flags, next_pcs,
-                       mem_addrs, wb_values)
+        executor.record(point - pos, pcs, flags, next_pcs, mem_addrs,
+                        wb_values)
         ckpt = ArchCheckpoint.of(executor)
         if point == skip:
             skip_checkpoint = ckpt
@@ -112,8 +77,8 @@ def capture_trace(program: Program, mem_seed: int, length: int,
                 and point < length:
             intervals.append(ckpt)
         pos = point
-    _record_stream(executor, length - pos, pcs, flags, next_pcs,
-                   mem_addrs, wb_values)
+    executor.record(length - pos, pcs, flags, next_pcs, mem_addrs,
+                    wb_values)
     end = ArchCheckpoint.of(executor)
     return Trace(pcs, flags, next_pcs, mem_addrs, wb_values,
                  skip_checkpoint, end, skip, mem_seed,
@@ -176,8 +141,8 @@ def extend_trace(trace: Trace, program: Program, length: int,
     pos = start
     for point in _snapshot_points(start, length, interval,
                                   skip_hint if want_skip else 0):
-        _record_stream(executor, point - pos, pcs, flags, next_pcs,
-                       mem_addrs, wb_values)
+        executor.record(point - pos, pcs, flags, next_pcs, mem_addrs,
+                        wb_values)
         ckpt = ArchCheckpoint.of(executor)
         if want_skip and point == skip_hint:
             skip_checkpoint = ckpt
@@ -185,8 +150,8 @@ def extend_trace(trace: Trace, program: Program, length: int,
         if interval and point % interval == 0 and point < length:
             intervals.append(ckpt)
         pos = point
-    _record_stream(executor, length - pos, pcs, flags, next_pcs,
-                   mem_addrs, wb_values)
+    executor.record(length - pos, pcs, flags, next_pcs, mem_addrs,
+                    wb_values)
     end = ArchCheckpoint.of(executor)
     extended = Trace(pcs, flags, next_pcs, mem_addrs, wb_values,
                      skip_checkpoint, end, captured_skip, trace.mem_seed,

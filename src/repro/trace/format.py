@@ -42,7 +42,13 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from ..isa.executor import FunctionalExecutor
+from ..isa.executor import (  # noqa: F401  (flag bits re-exported)
+    FLAG_COND_BRANCH,
+    FLAG_MEM,
+    FLAG_TAKEN,
+    FLAG_WB,
+    FunctionalExecutor,
+)
 from ..isa.instruction import Program
 
 #: Bump whenever the record layout or checkpoint contents change; the
@@ -58,12 +64,6 @@ TRACE_FORMAT_VERSION = 2
 #: record arrays) while bounding the oracle's fast-forward residue for
 #: any region start.  0 disables interval checkpoints.
 DEFAULT_CHECKPOINT_INTERVAL = 8192
-
-#: Per-record flag bits.
-FLAG_TAKEN = 1  #: branch outcome (conditional branches and jumps)
-FLAG_COND_BRANCH = 2  #: the instruction is a conditional branch
-FLAG_MEM = 4  #: the record carries an effective memory address
-FLAG_WB = 8  #: the record carries a register write-back value
 
 
 class TraceFormatError(ValueError):

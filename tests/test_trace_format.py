@@ -6,6 +6,7 @@ survive a truncated file, a schema bump, or garbage bytes without user
 intervention.
 """
 
+import hashlib
 import multiprocessing
 import pickle
 
@@ -17,6 +18,7 @@ from repro.exec.serialize import CACHE_SCHEMA_VERSION
 from repro.isa.executor import FunctionalExecutor
 from repro.trace import (
     REPLAY_MARGIN,
+    ArchCheckpoint,
     Trace,
     TraceFormatError,
     capture_trace,
@@ -26,7 +28,9 @@ from repro.trace import (
 )
 from repro.trace.store import TraceStore, program_fingerprint
 from repro.workloads.generator import build_program
-from repro.workloads.profiles import get_profile
+from repro.workloads.profiles import get_profile, spec2006_profiles
+from repro.workloads.stress import FAMILIES
+from tests.test_isa_semantics_properties import step_arrays
 
 PROFILE = get_profile("sjeng")
 PROGRAM = build_program(PROFILE)
@@ -40,19 +44,56 @@ def _capture(length=1000, skip=400):
 # Capture correctness
 # ----------------------------------------------------------------------
 
+def _stream_programs():
+    """Every profile program plus one program per stress family."""
+    programs = [(name, build_program(profile), profile.mem_seed)
+                for name, profile in sorted(spec2006_profiles().items())]
+    programs += [(f"stress:{name}", family.build(family.default), 0)
+                 for name, family in sorted(FAMILIES.items())]
+    return programs
+
+
 def test_capture_matches_functional_execution():
-    trace = _capture(length=600, skip=0)
-    executor = FunctionalExecutor(PROGRAM, mem_seed=PROFILE.mem_seed)
-    for i in range(600):
-        record = executor.step()
-        assert trace.pcs[i] == record.inst.pc
-        assert trace.next_pcs[i] == record.next_pc
-        assert bool(trace.flags[i] & 1) == record.taken
-        if record.mem_addr is not None:
-            assert trace.flags[i] & 4
-            assert trace.mem_addrs[i] == record.mem_addr
-        else:
-            assert not (trace.flags[i] & 4)
+    """Capture's record() loop writes exactly what a step() walk yields,
+    on every program the reproduction runs."""
+    length = 20_000
+    for name, program, mem_seed in _stream_programs():
+        trace = capture_trace(program, mem_seed, length)
+        executor = FunctionalExecutor(program, mem_seed=mem_seed)
+        pcs, flags, next_pcs, mem_addrs, wb_values = \
+            step_arrays(executor, length)
+        assert trace.pcs == pcs, name
+        assert trace.flags == flags, name
+        assert trace.next_pcs == next_pcs, name
+        assert trace.mem_addrs == mem_addrs, name
+        assert trace.wb_values == wb_values, name
+        assert trace.end_checkpoint == ArchCheckpoint.of(executor), name
+
+
+def _payload_digest(payload):
+    """SHA-256 over an encoded trace: raw bytes for the record arrays,
+    ``repr`` (field and insertion order included) for the rest."""
+    h = hashlib.sha256()
+    for key in sorted(payload):
+        value = payload[key]
+        h.update(key.encode())
+        h.update(value if isinstance(value, bytes) else repr(value).encode())
+    return h.hexdigest()
+
+
+#: ``_payload_digest(encode_trace(capture_trace(sjeng, 196608,
+#: skip=192000)))`` as recorded by the step()-per-record capture loop
+#: that record() replaced.
+SJENG_196608_DIGEST = \
+    "3470c644a5ec40e3dbb70ec3d140dcb14303856163068a248ca1f6480790b80e"
+
+
+def test_long_capture_bytes_are_pinned():
+    fresh = capture_trace(PROGRAM, PROFILE.mem_seed, 196608, skip=192000)
+    assert _payload_digest(encode_trace(fresh)) == SJENG_196608_DIGEST
+    short = capture_trace(PROGRAM, PROFILE.mem_seed, 100_000)
+    extended = extend_trace(short, PROGRAM, 196608, skip_hint=192000)
+    assert _payload_digest(encode_trace(extended)) == SJENG_196608_DIGEST
 
 
 def test_capture_checkpoints_positions():
