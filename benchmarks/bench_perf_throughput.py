@@ -47,9 +47,10 @@ Three experiments share ``benchmarks/artifacts/perf_throughput.json``:
     (DESIGN.md §14) vs per-cell independent adaptive sampling, at the
     same CI target on the base-vs-PUBS mcf/sjeng/gcc table.  The
     independent leg drives every (config, workload) cell's own CPI CI
-    to the target; the paired leg lets the :class:`TableController`
-    stop each workload as soon as the *paired speedup* CI -- the
-    table's actual deliverable -- meets the same target.  Gates: the
+    to the target, one single-config adaptive estimate per cell; the
+    paired leg lets the :class:`TableController` stop each workload as
+    soon as the *paired speedup* CI -- the table's actual deliverable
+    -- meets the same target.  Gates: the
     paired leg must simulate at least 2x fewer timed records in total,
     its speedup point estimates must land within ``CPI_ERROR_GATE``
     (3%) of the full-simulation speedups, and every workload's paired
@@ -611,7 +612,7 @@ def test_batched_replay_speedup(report):
 
 
 # ----------------------------------------------------------------------
-# Paired estimation + table budget control vs per-cell adaptive
+# Paired estimation + table budget control vs single-config adaptive
 # ----------------------------------------------------------------------
 
 #: The whole-table precision target both legs are driven to.  Tight
@@ -642,12 +643,7 @@ PAIRED_MEASURE = int(os.environ.get("REPRO_BENCH_PAIRED_MEASURE", "512"))
 
 
 def test_paired_budget_reduction(report):
-    from repro.sampling import (
-        AdaptiveSession,
-        TableController,
-        paired_speedup,
-        sample_workload_adaptive_many,
-    )
+    from repro.sampling import AdaptiveSession, TableController, paired_speedup
 
     base = ProcessorConfig.cortex_a72_like()
     configs = {"base": base,
@@ -657,7 +653,7 @@ def test_paired_budget_reduction(report):
 
     full_speedups = {}
     independent = {}
-    controller = TableController(PAIRED_CI_TARGET, paired=True)
+    controller = TableController(PAIRED_CI_TARGET)
     for workload in SAMPLING_WORKLOADS:
         profile = get_profile(workload)
         program = build_program(profile)
@@ -673,13 +669,15 @@ def test_paired_budget_reduction(report):
         first, second = configs
         full_speedups[workload] = full_cpi[first] / full_cpi[second]
 
-        # Leg A: every cell escalates to its own CPI CI target.
-        runs = sample_workload_adaptive_many(
-            workload, list(configs.values()),
-            instructions=SAMPLING_INSTRUCTIONS, skip=SAMPLING_SKIP,
-            ci_target=PAIRED_CI_TARGET, measure=PAIRED_MEASURE,
-            jobs=1, cache=False, store=store)
-        independent[workload] = sum(run.simulated_records for run in runs)
+        # Leg A: every cell escalates to its own CPI CI target -- one
+        # single-config adaptive estimate per config.
+        independent[workload] = sum(
+            sample_workload_adaptive(
+                workload, cfg, instructions=SAMPLING_INSTRUCTIONS,
+                skip=SAMPLING_SKIP, ci_target=PAIRED_CI_TARGET,
+                measure=PAIRED_MEASURE, jobs=1, cache=False,
+                store=store).simulated_records
+            for cfg in configs.values())
 
         # Leg B: the controller stops on the paired speedup CI instead.
         controller.add(workload, AdaptiveSession(
@@ -746,13 +744,13 @@ def test_paired_budget_reduction(report):
     rows.append(["total", "", "", "", "", str(independent_records),
                  f"{paired_records} ({reduction:.2f}x less, "
                  f"gate: {PAIRED_MIN_REDUCTION}x)"])
-    report(f"Paired + table-budget vs per-cell adaptive at CI target "
+    report(f"Paired table vs single-config adaptive at CI target "
            f"{PAIRED_CI_TARGET:.1%} (artifact: {ARTIFACT.name})",
            render_table(["workload", "full speedup", "paired speedup",
                          "error", "paired CI", "indep records",
                          "paired records"], rows))
 
     assert reduction >= PAIRED_MIN_REDUCTION, \
-        f"paired/table-budget estimation must reach the {PAIRED_CI_TARGET:.2%} " \
+        f"the paired controller table must reach the {PAIRED_CI_TARGET:.2%} " \
         f"whole-table target with >= {PAIRED_MIN_REDUCTION}x fewer simulated " \
-        f"records than per-cell adaptive, measured {reduction:.2f}x"
+        f"records than single-config adaptive, measured {reduction:.2f}x"

@@ -17,10 +17,14 @@ whole :class:`~repro.core.config.RunRequest`): ``"off"`` (default)
 simulates the entire timed span as before; ``"fixed"`` estimates it from
 a fixed SimPoint representative set; ``"adaptive"`` escalates
 representatives until the CI target (:mod:`repro.sampling.adaptive`).
-Sampled cells come back as :class:`WorkloadRun` estimates with CI
-annotations; when a workload cannot be trace-sampled the cell falls back
-to a full simulation and says so in
-:attr:`WorkloadRun.fallback_reason` -- never silently.
+All three entry points share one sampled path, :func:`_sampled_table`:
+an adaptive cell, pair or suite is one
+:class:`~repro.sampling.controller.TableController` table, so the same
+request gets the same cells whichever entry point asks.  Sampled cells
+come back as :class:`WorkloadRun` estimates with CI annotations; when a
+workload cannot be trace-sampled the cell falls back to a full
+simulation and says so in :attr:`WorkloadRun.fallback_reason` -- never
+silently.
 
 **Instruction budgets (single source of truth).**  Two budget pairs exist,
 both defined here and nowhere else:
@@ -232,8 +236,9 @@ def run_workload(
                          sampling=sampling, ci_target=ci_target,
                          backend=backend)
     if req.sampling != "off":
-        return _sampled_cell(workload, config, req,
-                             _executor_for(req.jobs, req.cache, req.backend))
+        return _sampled_table(
+            [workload], [config], req,
+            _executor_for(req.jobs, req.cache, req.backend))[0][0]
     instructions, skip = _budget(req)
     config = _resolve_config(config, req.frontend)
     job = SimJob.make(workload, config, instructions, skip)
@@ -249,104 +254,66 @@ def run_workload(
     return _executor_for(req.jobs, req.cache, req.backend).run_one(job)
 
 
-def _sampled_row(workload: "str | WorkloadProfile",
-                 configs: "list[Optional[ProcessorConfig]]",
-                 req: RunRequest,
-                 executor: SweepExecutor) -> "list[WorkloadRun]":
-    """One workload's sampled cells for several configs, submitted together.
-
-    All configs sample the *same* trace-derived windows, so their region
-    jobs go through the executor in one submission per escalation step
-    -- which is what lets the batched replay path group every config of
-    one region window into a single trace walk.  Falls back to full
-    simulation honestly, and only on trace-availability failures -- the
-    capture/load errors ``OSError`` and
-    :class:`~repro.trace.format.TraceFormatError`.  Anything else (bad
-    parameters, simulator bugs) propagates.
-    """
-    from ..sampling.run import sample_workload_many  # runner <-> sampling
-    profile = get_profile(workload) if isinstance(workload, str) else workload
-    cfgs = [_resolve_config(config, req.frontend) for config in configs]
-    instructions, skip = _budget(req)
-    try:
-        sampled = sample_workload_many(
-            profile, cfgs, instructions=instructions, skip=skip,
-            strategy="adaptive" if req.sampling == "adaptive"
-            else "simpoint",
-            measure=req.measure, warmup=req.warmup, detail=req.detail,
-            regions=req.regions, max_fraction=req.max_fraction,
-            checkpoint_interval=req.checkpoint_interval,
-            ci_target=req.ci_target if req.sampling == "adaptive" else None,
-            executor=executor)
-        return [WorkloadRun(profile.name, sampled=run) for run in sampled]
-    except (OSError, TraceFormatError) as exc:
-        fulls = executor.run([SimJob(profile, cfg, instructions, skip)
-                              for cfg in cfgs])
-        reason = f"{type(exc).__name__}: {exc}"
-        return [WorkloadRun(profile.name, full=full, fallback_reason=reason)
-                for full in fulls]
-
-
-def _sampled_cell(workload: "str | WorkloadProfile",
-                  config: Optional[ProcessorConfig],
-                  req: RunRequest,
-                  executor: SweepExecutor) -> WorkloadRun:
-    """One sampled cell (a single-config :func:`_sampled_row`)."""
-    return _sampled_row(workload, [config], req, executor)[0]
-
-
-def _sampled_table(profiles: "list[WorkloadProfile]",
-                   configs: "Mapping[str, ProcessorConfig]",
+def _sampled_table(workloads: "list[str | WorkloadProfile]",
+                   configs: "list[Optional[ProcessorConfig]]",
                    req: RunRequest,
                    executor: SweepExecutor
-                   ) -> "Dict[str, Dict[str, WorkloadRun]]":
-    """A whole adaptive table under one budget controller.
+                   ) -> "list[list[WorkloadRun]]":
+    """Sampled cells: one row per workload, one cell per config, in order.
 
-    Every workload becomes an :class:`~repro.sampling.adaptive.
-    AdaptiveSession` (all configs in lockstep); the
-    :class:`~repro.sampling.controller.TableController` then escalates
-    whichever workload has the worst CI-to-target ratio until the whole
-    table meets the target.  A workload whose trace cannot be captured
-    falls back to full simulations at session-construction time -- the
-    rest of the table still goes through the controller.
+    The one sampled path behind :func:`run_workload`, :func:`run_pair`
+    and :func:`run_suite`.  All configs of a workload sample the *same*
+    trace-derived windows and submit together, so every config of one
+    region window becomes a single batched trace walk.  ``"fixed"``
+    samples each workload's SimPoint plan; ``"adaptive"`` makes every
+    workload an :class:`~repro.sampling.adaptive.AdaptiveSession` and
+    lets one :class:`~repro.sampling.controller.TableController` spend
+    where the table's CI-to-target ratio is worst.
+
+    A workload falls back to full simulation honestly, and only on
+    trace-availability failures -- the capture/load errors ``OSError``
+    and :class:`~repro.trace.format.TraceFormatError`; the rest of the
+    table still samples.  Anything else (bad parameters, simulator bugs)
+    propagates.
     """
     from ..sampling.adaptive import AdaptiveSession, DEFAULT_CI_TARGET
     from ..sampling.controller import TableController
+    from ..sampling.run import sample_workload_many  # runner <-> sampling
+    profiles = [get_profile(w) if isinstance(w, str) else w
+                for w in workloads]
     instructions, skip = _budget(req)
-    ci_target = DEFAULT_CI_TARGET if req.ci_target is None else req.ci_target
-    controller = TableController(ci_target,
-                                 paired=req.paired is not False)
-    cfgs = [_resolve_config(config, req.frontend)
-            for config in configs.values()]
-    fallback: "Dict[str, list[WorkloadRun]]" = {}
-    for profile in profiles:
-        try:
-            controller.add(profile.name, AdaptiveSession(
-                profile, cfgs, instructions=instructions, skip=skip,
-                ci_target=ci_target, measure=req.measure,
+    cfgs = [_resolve_config(config, req.frontend) for config in configs]
+    plan = dict(instructions=instructions, skip=skip, measure=req.measure,
                 **({} if req.warmup is None else {"warmup": req.warmup}),
                 detail=req.detail, regions=req.regions,
                 max_fraction=req.max_fraction,
                 checkpoint_interval=req.checkpoint_interval,
-                executor=executor))
+                executor=executor)
+    ci_target = DEFAULT_CI_TARGET if req.ci_target is None else req.ci_target
+    controller = TableController(ci_target) \
+        if req.sampling == "adaptive" else None
+    rows: "Dict[str, list[WorkloadRun]]" = {}
+    for profile in profiles:
+        try:
+            if controller is not None:
+                controller.add(profile.name, AdaptiveSession(
+                    profile, cfgs, ci_target=ci_target, **plan))
+            else:
+                rows[profile.name] = [
+                    WorkloadRun(profile.name, sampled=run)
+                    for run in sample_workload_many(profile, cfgs, **plan)]
         except (OSError, TraceFormatError) as exc:
             fulls = executor.run([SimJob(profile, cfg, instructions, skip)
                                   for cfg in cfgs])
             reason = f"{type(exc).__name__}: {exc}"
-            fallback[profile.name] = [
+            rows[profile.name] = [
                 WorkloadRun(profile.name, full=full, fallback_reason=reason)
                 for full in fulls]
-    controller.run()
-    table = controller.results()
-    results_by_config: "Dict[str, Dict[str, WorkloadRun]]" = \
-        {config_name: {} for config_name in configs}
-    for profile in profiles:
-        cells = [WorkloadRun(profile.name, sampled=run)
-                 for run in table[profile.name]] \
-            if profile.name in table else fallback[profile.name]
-        for config_name, cell in zip(configs, cells):
-            results_by_config[config_name][profile.name] = cell
-    return results_by_config
+    if controller is not None:
+        controller.run()
+        for name, runs in controller.results().items():
+            rows[name] = [WorkloadRun(name, sampled=run) for run in runs]
+    return [rows[profile.name] for profile in profiles]
 
 
 @dataclass
@@ -362,13 +329,12 @@ class PairedRun:
     (:mod:`repro.sampling.paired`) -- common-mode window variance
     cancels, so it is much tighter than combining the two CPI CIs in
     quadrature; quadrature remains the fallback for genuinely different
-    schedules (or ``use_paired=False``).
+    schedules.
     """
 
     name: str
     base_cell: WorkloadRun
     variant_cell: WorkloadRun
-    use_paired: bool = True
 
     @property
     def base(self) -> Optional[SimulationResult]:
@@ -392,13 +358,11 @@ class PairedRun:
     def paired(self):
         """The paired speedup estimate, when pairing applies.
 
-        Requires two sampled cells over the identical region schedule
-        (and ``use_paired``); None otherwise.  Its point estimate
-        equals :attr:`speedup` -- pairing changes the error claim, not
-        the headline number.
+        Requires two sampled cells over the identical region schedule;
+        None otherwise.  Its point estimate equals :attr:`speedup` --
+        pairing changes the error claim, not the headline number.
         """
-        if not (self.use_paired and self.base_cell.is_sampled
-                and self.variant_cell.is_sampled):
+        if not (self.base_cell.is_sampled and self.variant_cell.is_sampled):
             return None
         from ..sampling.paired import paired_speedup  # runner <-> sampling
         return paired_speedup(self.base_cell.sampled,
@@ -456,7 +420,6 @@ def run_pair(
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     backend: Optional[str] = None,
-    paired: Optional[bool] = None,
     request: Optional[RunRequest] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> PairedRun:
@@ -466,8 +429,9 @@ def run_pair(
     the same recorded trace (the plans derive from the trace alone, not
     the machine), so the paired-stream property the full path guarantees
     carries over to the sampled one -- and the speedup CI is the paired
-    jackknife over those shared windows unless ``paired`` resolves off.
-    Either way both sides go through the executor in one submission, so
+    jackknife over those shared windows.  The sampled cells are exactly
+    the ones :func:`run_suite` computes for the same request.  Either
+    way both sides go through the executor in one submission, so
     replay-mode pairs that share a warm class run as one batched trace
     walk.  ``executor`` overrides the executor (e.g. to read its cache
     stats afterwards).
@@ -475,15 +439,14 @@ def run_pair(
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache, frontend=frontend,
                          sampling=sampling, ci_target=ci_target,
-                         backend=backend, paired=paired)
+                         backend=backend)
     profile = get_profile(workload) if isinstance(workload, str) else workload
     runner = executor if executor is not None \
         else _executor_for(req.jobs, req.cache, req.backend)
     if req.sampling != "off":
-        base_cell, variant_cell = _sampled_row(
-            profile, [base_config, variant_config], req, runner)
-        return PairedRun(profile.name, base_cell, variant_cell,
-                         use_paired=req.paired is not False)
+        base_cell, variant_cell = _sampled_table(
+            [profile], [base_config, variant_config], req, runner)[0]
+        return PairedRun(profile.name, base_cell, variant_cell)
     instructions, skip = _budget(req)
     base, variant = runner.run([
         SimJob(profile, _resolve_config(base_config, req.frontend),
@@ -507,8 +470,6 @@ def run_suite(
     sampling: Optional[str] = None,
     ci_target: Optional[float] = None,
     backend: Optional[str] = None,
-    paired: Optional[bool] = None,
-    table_budget: Optional[bool] = None,
     request: Optional[RunRequest] = None,
     executor: Optional[SweepExecutor] = None,
 ) -> "Dict[str, Dict[str, SimulationResult]] | Dict[str, Dict[str, WorkloadRun]]":
@@ -522,32 +483,23 @@ def run_suite(
     (:mod:`repro.batch`).  The sampled modes return
     :class:`WorkloadRun` cells instead -- each workload's configs
     sample the same windows and submit together, so every config of one
-    region window becomes one batched trace walk.  Adaptive sampling
-    additionally routes through the whole-table budget controller
-    (unless ``table_budget`` resolves off): escalation spends where the
-    table's CI-to-target ratio is worst instead of driving every cell
-    to its own target.  ``executor`` overrides the executor used either
-    way (e.g. to read its cache stats afterwards).
+    region window becomes one batched trace walk, and adaptive
+    escalation spends where the table's CI-to-target ratio is worst
+    (:func:`_sampled_table`).  ``executor`` overrides the executor used
+    either way (e.g. to read its cache stats afterwards).
     """
     req = _merge_request(request, instructions=instructions, skip=skip,
                          jobs=jobs, cache=cache, frontend=frontend,
                          sampling=sampling, ci_target=ci_target,
-                         backend=backend, paired=paired,
-                         table_budget=table_budget)
+                         backend=backend)
     names = list(workloads) if workloads is not None else sorted(spec2006_profiles())
     profiles = [get_profile(name) for name in names]
     runner = executor if executor is not None \
         else _executor_for(req.jobs, req.cache, req.backend)
-    if req.sampling == "adaptive" and req.table_budget is not False:
-        return _sampled_table(profiles, configs, req, runner)
     if req.sampling != "off":
-        results_by_config: "Dict[str, Dict[str, WorkloadRun]]" = \
-            {config_name: {} for config_name in configs}
-        for profile in profiles:
-            row = _sampled_row(profile, list(configs.values()), req, runner)
-            for config_name, cell in zip(configs, row):
-                results_by_config[config_name][profile.name] = cell
-        return results_by_config
+        rows = _sampled_table(profiles, list(configs.values()), req, runner)
+        return {config_name: {name: row[i] for name, row in zip(names, rows)}
+                for i, config_name in enumerate(configs)}
     instructions, skip = _budget(req)
     batch = [
         SimJob(profile, _resolve_config(config, req.frontend),

@@ -21,13 +21,6 @@ keyword vocabulary:
     ``"queue"`` (None -> ``REPRO_BACKEND`` -> the local process pool);
     every backend is bit-identical by construction, so this only
     changes *where* the work runs;
-``paired``
-    report sampled comparisons with the common-regions paired CI
-    (None -> ``REPRO_PAIRED`` -> on; off combines in quadrature);
-``table_budget``
-    adaptive suites spend the escalation budget table-wide -- on the
-    workload with the worst CI-to-target ratio -- instead of driving
-    every cell to its own target (None -> ``REPRO_TABLE_BUDGET`` -> on);
 ``request``
     a :class:`RunRequest` bundling all of the above -- explicit
     keywords override its fields, the environment fills what is left,
@@ -36,7 +29,13 @@ keyword vocabulary:
 There is no batching knob: replay-mode configs that share a warm class
 always walk their trace together (:func:`run_batch`, up to
 ``DEFAULT_BATCH_LIMIT`` per walk), and a single replay run is a batch
-of one.
+of one.  Nor is there a stop-rule knob: every adaptive estimate --
+:func:`run_workload`, :func:`run_pair`, :func:`run_suite`,
+:func:`sample_workload_adaptive` -- is a :class:`TableController`
+table, judged on the paired speedup CI against the first config when
+it has two or more configs and on the own CPI CI when it has one.
+Sampled comparisons always report the paired CI where the schedules
+are shared, quadrature where they are not.
 
 Quick start::
 
@@ -77,7 +76,6 @@ from .sampling.adaptive import (
     AdaptiveRun,
     AdaptiveSession,
     sample_workload_adaptive,
-    sample_workload_adaptive_many,
 )
 from .sampling.controller import TableController
 from .sampling.paired import PairedEstimate, paired_speedup
@@ -111,6 +109,5 @@ __all__ = [
     "run_workload",
     "sample_workload",
     "sample_workload_adaptive",
-    "sample_workload_adaptive_many",
     "sample_workload_many",
 ]

@@ -254,15 +254,6 @@ def _sampling_flags(parser: argparse.ArgumentParser) -> None:
                         help="relative CI half-width adaptive sampling "
                              "drives toward (default: REPRO_CI_TARGET, "
                              "else 0.05)")
-    parser.add_argument("--no-paired", action="store_true",
-                        help="combine sampled comparison CIs in quadrature "
-                             "instead of the common-regions paired "
-                             "jackknife (default: paired, or REPRO_PAIRED)")
-    parser.add_argument("--no-table-budget", action="store_true",
-                        help="adaptive suites: drive every cell to its own "
-                             "CI target instead of spending the budget on "
-                             "the table's worst CI-to-target ratio "
-                             "(default: table-wide, or REPRO_TABLE_BUDGET)")
 
 
 @_flag_family("request")
@@ -351,9 +342,6 @@ def _request_from_args(args) -> RunRequest:
         warmup=getattr(args, "warmup", None),
         detail=getattr(args, "detail", None),
         max_fraction=getattr(args, "fraction", None),
-        paired=False if getattr(args, "no_paired", False) else None,
-        table_budget=False if getattr(args, "no_table_budget", False)
-        else None,
     )
     request_file = getattr(args, "request_file", None)
     if request_file:
@@ -546,7 +534,7 @@ def _suite_configs(args) -> "tuple[ProcessorConfig, ProcessorConfig]":
     return base, variant
 
 
-def _render_suite_table(names, results, use_paired: bool,
+def _render_suite_table(names, results,
                         executor: Optional[SweepExecutor] = None,
                         summary_line: Optional[str] = None) -> int:
     """Render a base-vs-variant suite result table (suite *and* submit).
@@ -567,7 +555,7 @@ def _render_suite_table(names, results, use_paired: bool,
             _note_fallback(variant_r, f"{name} variant")
             speedup = variant_r.ipc / base_r.ipc
             branch_mpki, llc_mpki = _cell_mpki(base_r)
-            pair = PairedRun(name, base_r, variant_r, use_paired=use_paired)
+            pair = PairedRun(name, base_r, variant_r)
             ci_txt = "exact" if pair.ci_method == "exact" \
                 else _pct(pair.speedup_relative_ci)
         else:
@@ -608,12 +596,9 @@ def _cmd_suite(args) -> int:
     # from the persistent cache, and fans misses over --jobs -- and its
     # hit/miss summary below covers every cell, sampled or not.
     executor = _executor_from_args(args)
-    req = _request_from_args(args)
     results = run_suite({"base": base, "variant": variant}, names,
-                        request=req, executor=executor)
-    return _render_suite_table(names, results,
-                               use_paired=req.resolved().paired is not False,
-                               executor=executor)
+                        request=_request_from_args(args), executor=executor)
+    return _render_suite_table(names, results, executor=executor)
 
 
 def _cmd_report(args) -> int:
@@ -785,17 +770,6 @@ def _cmd_trace(args) -> int:
 
 def _cmd_sample(args) -> int:
     from .sampling import CPI_ERROR_GATE, sampled_vs_full_error
-    strategy = args.strategy
-    # The sample command always samples; its --sampling flag only picks
-    # the scheduler family (fixed -> simpoint, adaptive -> escalation).
-    if args.sampling == "off":
-        print("error: the sample command always samples; use 'run' for a "
-              "full simulation", file=sys.stderr)
-        return 2
-    if args.sampling == "adaptive":
-        strategy = "adaptive"
-    elif args.sampling == "fixed" and strategy == "adaptive":
-        strategy = "simpoint"
     # Validate the region arithmetic up front: a zero or negative count
     # would otherwise surface as an opaque failure deep in trace capture
     # or region scheduling.
@@ -809,6 +783,21 @@ def _cmd_sample(args) -> int:
         print("error: --interval must be positive (sampled replay needs "
               f"checkpoints), got {args.interval}", file=sys.stderr)
         return 2
+    req = _request_from_args(args).with_overrides(
+        checkpoint_interval=args.interval)
+    # The sample command always samples; the request's sampling mode
+    # (flag or request file) only picks the scheduler family (fixed ->
+    # simpoint, adaptive -> escalation).
+    strategy = args.strategy
+    if req.sampling == "off":
+        print("error: the sample command always samples; use 'run' for a "
+              "full simulation", file=sys.stderr)
+        return 2
+    if req.sampling == "adaptive":
+        strategy = "adaptive"
+    elif req.sampling == "fixed" and strategy == "adaptive":
+        strategy = "simpoint"
+    executor = _executor_from_args(args)
     config = _machine_from_args(args)
     names = args.workloads or sorted(spec2006_profiles())
     rows = []
@@ -816,13 +805,13 @@ def _cmd_sample(args) -> int:
     for name in names:
         run = sample_workload(
             name, config,
-            instructions=args.instructions, skip=args.skip,
-            strategy=strategy, measure=args.measure,
-            warmup=args.warmup, detail=args.detail, regions=args.regions,
-            max_fraction=args.fraction,
-            checkpoint_interval=args.interval,
-            ci_target=args.ci_target if strategy == "adaptive" else None,
-            jobs=args.jobs, cache=_cache_flag(args))
+            instructions=req.instructions, skip=req.skip,
+            strategy=strategy, measure=req.measure,
+            warmup=req.warmup, detail=req.detail, regions=req.regions,
+            max_fraction=req.max_fraction,
+            checkpoint_interval=req.checkpoint_interval,
+            ci_target=req.ci_target if strategy == "adaptive" else None,
+            executor=executor)
         if isinstance(run, AdaptiveRun):
             marks = " -> ".join(f"{r.regions}:{_pct(r.relative_ci)}"
                                 for r in run.rounds)
@@ -833,8 +822,8 @@ def _cmd_sample(args) -> int:
                str(len(run.results)), f"{run.coverage:.1%}",
                f"{run.misspec_penalty.point:.1f}"]
         if args.check_full:
-            full = run_workload(name, config, args.instructions, args.skip,
-                                cache=_cache_flag(args), frontend="replay",
+            full = run_workload(name, config, req.instructions, req.skip,
+                                cache=req.cache, frontend="replay",
                                 sampling="off")
             error = sampled_vs_full_error(run, full)
             ok = error <= CPI_ERROR_GATE
@@ -992,7 +981,7 @@ def _cmd_submit(args) -> int:
         counters = reply.summary.get("counters", {})
         summary_line = " ".join(
             f"{key}={value}" for key, value in counters.items())
-        return _render_suite_table(names, reply.results(), use_paired=True,
+        return _render_suite_table(names, reply.results(),
                                    summary_line=summary_line)
     backend = QueueBackend(root=args.queue_dir,
                            local_workers=args.local_workers,
@@ -1001,9 +990,7 @@ def _cmd_submit(args) -> int:
                              backend=backend)
     results = run_suite({"base": base, "variant": variant}, names,
                         request=req, executor=executor)
-    return _render_suite_table(names, results,
-                               use_paired=req.resolved().paired is not False,
-                               executor=executor)
+    return _render_suite_table(names, results, executor=executor)
 
 
 def _cmd_status(args) -> int:

@@ -284,13 +284,6 @@ class RunRequest:
     max_fraction: Optional[float] = None
     #: Trace checkpoint spacing for sampled replays.
     checkpoint_interval: Optional[int] = None
-    #: Report sampled comparisons with the common-regions paired CI
-    #: (None -> ``REPRO_PAIRED`` -> on).  Off falls back to quadrature.
-    paired: Optional[bool] = None
-    #: Spend the adaptive suite budget table-wide -- escalate whichever
-    #: workload has the worst CI-to-target ratio -- instead of each cell
-    #: chasing its own target (None -> ``REPRO_TABLE_BUDGET`` -> on).
-    table_budget: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.sampling is not None and self.sampling not in SAMPLING_MODES:
@@ -338,13 +331,6 @@ class RunRequest:
             raw = os.environ.get("REPRO_CI_TARGET")
             if raw:
                 updates["ci_target"] = float(raw)
-        for name, env in (("paired", "REPRO_PAIRED"),
-                          ("table_budget", "REPRO_TABLE_BUDGET")):
-            if getattr(self, name) is None:
-                raw = os.environ.get(env)
-                if raw is not None:
-                    updates[name] = raw.strip().lower() not in (
-                        "0", "false", "off", "")
         return replace(self, **updates) if updates else self
 
     def with_overrides(self, **kwargs) -> "RunRequest":

@@ -15,7 +15,8 @@ See DESIGN.md §10.  Public surface:
 * :func:`~repro.sampling.adaptive.sample_workload_adaptive` /
   :class:`~repro.sampling.adaptive.AdaptiveRun` -- variance-driven
   escalation: start from a small representative set and split clusters
-  until the CI half-width meets ``ci_target`` or the region cap;
+  until the CI half-width meets ``ci_target`` or the region cap (a
+  one-config :class:`~repro.sampling.controller.TableController` table);
 * :class:`~repro.sampling.aggregate.SampledEstimate` -- weighted
   whole-span point estimate with per-region spread (reuses
   :class:`~repro.analysis.robustness.SweepSummary`'s n>=2 honesty rule);
@@ -37,7 +38,6 @@ from .adaptive import (
     AdaptiveRun,
     AdaptiveSession,
     sample_workload_adaptive,
-    sample_workload_adaptive_many,
 )
 from .controller import TableController
 from .paired import (
@@ -113,7 +113,6 @@ __all__ = [
     "region_jobs",
     "sample_workload",
     "sample_workload_adaptive",
-    "sample_workload_adaptive_many",
     "paired_speedup",
     "sample_workload_many",
     "sampled_vs_full_error",

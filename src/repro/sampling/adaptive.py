@@ -21,6 +21,10 @@ cross-workload variance in misprediction behavior):
 4. fan the new representatives out as the next batch and repeat until
    convergence, the region cap, or no cluster left to split.
 
+The stop decision belongs to :class:`~repro.sampling.controller.
+TableController`: :func:`sample_workload_adaptive` is a one-workload,
+one-config table, whose criterion is that config's own CPI CI.
+
 Everything is deterministic -- seeding, dispersion ranking, farthest-
 member selection and tie-breaks -- so a (trace, parameters) pair always
 escalates through the same region sequence and therefore the same
@@ -42,6 +46,7 @@ from ..exec.jobs import SimJob
 from ..trace.store import TraceStore
 from ..workloads.profiles import WorkloadProfile, get_profile
 from .aggregate import estimate_cpi, estimate_misspec_penalty
+from .controller import TableController
 from .regions import (
     DEFAULT_MAX_FRACTION,
     DEFAULT_MEASURE,
@@ -173,14 +178,12 @@ def _window_region(index: int, measure: int, skip: int,
 
 @dataclass
 class _EscalationState:
-    """One config's private escalation state in a lockstep multi run."""
+    """One config's private escalation state in a lockstep session."""
 
     base: ProcessorConfig
     clusters: List[_Cluster]
     simulated: Dict[int, SimulationResult]
     rounds: List[AdaptiveRound]
-    converged: bool = False
-    active: bool = True
 
 
 def _validate_schedule_params(ci_target: float, start_regions: int,
@@ -207,23 +210,16 @@ class AdaptiveSession:
 
     Owns everything the escalation loop walks -- the trace-derived
     window signatures, each config's cluster set, the simulated regions
-    and the per-round history -- and exposes it at two grains:
+    and the per-round history.  :meth:`measure_all` /
+    :meth:`escalate_all` advance it one round at a time, all configs in
+    strict lockstep; the :class:`~repro.sampling.controller.
+    TableController` decides when to stop.  Lockstep keeps every config
+    on the identical region schedule, which is what keeps the windows
+    shared for the paired estimator (:mod:`repro.sampling.paired`).
 
-    * :meth:`run_per_cell` -- the classic loop: every config escalates
-      until its *own* CPI CI meets ``ci_target`` (or the cap binds).
-      :func:`sample_workload_adaptive_many` is exactly this.
-    * :meth:`measure_all` / :meth:`escalate_all` -- one round at a
-      time, all configs advancing in strict lockstep regardless of
-      their individual CPI CIs, for an external budget controller
-      (:mod:`repro.sampling.controller`) that decides *where* the next
-      batch is spent.  Lockstep keeps every config on the identical
-      region schedule, which is what keeps the windows shared for the
-      paired estimator (:mod:`repro.sampling.paired`).
-
-    Both grains walk the same deterministic split sequence and submit
-    the same region jobs, so their cache keys are interchangeable: a
-    controller-driven table re-uses (and pre-warms) the entries a
-    standalone adaptive run would hit, and vice versa.
+    The split sequence is deterministic and signature-driven, so a
+    workload's region jobs -- and their cache keys -- are the same
+    whichever configs share the session and however far it walks.
     """
 
     def __init__(self,
@@ -363,28 +359,6 @@ class AdaptiveSession:
         return split_any
 
     # ------------------------------------------------------------------
-    # Per-cell loop (the classic adaptive contract)
-    # ------------------------------------------------------------------
-
-    def run_per_cell(self) -> None:
-        """Escalate until every config meets its own CI target or cap."""
-        while any(state.active for state in self.states):
-            self._simulate_pending([s for s in self.states if s.active])
-            for state in self.states:
-                if not state.active:
-                    continue
-                relative = self._evaluate(state)
-                if relative == relative and relative <= self.ci_target:
-                    state.converged = True
-                    state.active = False
-                    continue
-                if len(state.clusters) >= self.cap:
-                    state.active = False
-                    continue
-                if not self._split(state):
-                    state.active = False
-
-    # ------------------------------------------------------------------
     # Controller interface (lockstep rounds, external stop decision)
     # ------------------------------------------------------------------
 
@@ -429,18 +403,15 @@ class AdaptiveSession:
         """Scheduled regions summed across configs."""
         return sum(len(state.clusters) for state in self.states)
 
-    def runs(self, converged: "Optional[Sequence[bool]]" = None
-             ) -> List[AdaptiveRun]:
+    def runs(self, converged: bool = False) -> List[AdaptiveRun]:
         """The per-config :class:`AdaptiveRun`\\ s for the current state.
 
-        ``converged`` overrides the per-state flags (the controller
-        judges convergence on the *table's* criterion, not each cell's
-        own CPI CI).
+        ``converged`` is the controller's verdict on the workload, shared
+        by every config (the controller judges convergence on the
+        table's criterion, not each cell's own CPI CI).
         """
         runs = []
-        flags = [state.converged for state in self.states] \
-            if converged is None else list(converged)
-        for state, flag in zip(self.states, flags):
+        for state in self.states:
             ordered = sorted(state.clusters, key=lambda c: c.medoid)
             plan = RegionPlan(
                 instructions=self.instructions, skip=self.skip,
@@ -457,54 +428,10 @@ class AdaptiveSession:
                 cpi=estimate_cpi(results, weights),
                 misspec_penalty=estimate_misspec_penalty(results, weights),
                 ci_target=self.ci_target,
-                converged=flag,
+                converged=converged,
                 rounds=tuple(state.rounds),
             ))
         return runs
-
-
-def sample_workload_adaptive_many(
-        workload: Union[str, WorkloadProfile],
-        configs: "Sequence[Optional[ProcessorConfig]]",
-        instructions: int = 20_000,
-        skip: int = 2_000,
-        ci_target: float = DEFAULT_CI_TARGET,
-        measure: Optional[int] = None,
-        warmup: Optional[int] = DEFAULT_WARMUP,
-        detail: Optional[int] = None,
-        start_regions: int = DEFAULT_START_REGIONS,
-        batch: int = DEFAULT_BATCH,
-        regions: Optional[int] = None,
-        max_fraction: Optional[float] = None,
-        checkpoint_interval: Optional[int] = None,
-        executor: Optional[SweepExecutor] = None,
-        jobs: Optional[int] = None,
-        cache: "Optional[bool]" = None,
-        store: Optional[TraceStore] = None) -> List[AdaptiveRun]:
-    """Escalate several configs of one workload in lockstep rounds.
-
-    Splitting is signature-driven and therefore config-independent, so
-    every config escalates through the *same* region sequence; only the
-    stop decision (its own CI) differs.  Running the loops in lockstep
-    lets each round submit every still-escalating config's new region
-    jobs as one executor call -- all configs of one region window
-    become one batched trace walk (:mod:`repro.batch`).  Each returned
-    :class:`AdaptiveRun` is identical to what a separate
-    :func:`sample_workload_adaptive` call for that config would
-    produce (same deterministic schedule, same cached job keys).
-    """
-    _validate_schedule_params(ci_target, start_regions, batch, regions,
-                              instructions, skip)
-    if not configs:
-        return []
-    session = AdaptiveSession(
-        workload, configs, instructions=instructions, skip=skip,
-        ci_target=ci_target, measure=measure, warmup=warmup, detail=detail,
-        start_regions=start_regions, batch=batch, regions=regions,
-        max_fraction=max_fraction, checkpoint_interval=checkpoint_interval,
-        executor=executor, jobs=jobs, cache=cache, store=store)
-    session.run_per_cell()
-    return session.runs()
 
 
 def sample_workload_adaptive(
@@ -535,12 +462,16 @@ def sample_workload_adaptive(
     ``start_regions``/``batch`` shape the schedule.  See the module
     docstring for the algorithm.
     """
-    return sample_workload_adaptive_many(
+    session = AdaptiveSession(
         workload, [config], instructions=instructions, skip=skip,
         ci_target=ci_target, measure=measure, warmup=warmup, detail=detail,
         start_regions=start_regions, batch=batch, regions=regions,
         max_fraction=max_fraction, checkpoint_interval=checkpoint_interval,
-        executor=executor, jobs=jobs, cache=cache, store=store)[0]
+        executor=executor, jobs=jobs, cache=cache, store=store)
+    controller = TableController(ci_target)
+    controller.add(session.profile.name, session)
+    controller.run()
+    return controller.results()[session.profile.name][0]
 
 
 __all__ = [
@@ -551,5 +482,4 @@ __all__ = [
     "AdaptiveRound",
     "AdaptiveRun",
     "sample_workload_adaptive",
-    "sample_workload_adaptive_many",
 ]

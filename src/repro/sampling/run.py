@@ -111,13 +111,12 @@ def sample_workload_many(workload: Union[str, WorkloadProfile],
                          regions: Optional[int] = None,
                          max_fraction: Optional[float] = None,
                          checkpoint_interval: Optional[int] = None,
-                         ci_target: Optional[float] = None,
                          executor: Optional[SweepExecutor] = None,
                          jobs: Optional[int] = None,
                          cache: "Optional[bool]" = None,
                          store: Optional[TraceStore] = None
                          ) -> List[SampledRun]:
-    """:func:`sample_workload` for several configs of one workload.
+    """Fixed-plan :func:`sample_workload` for several configs of one workload.
 
     The plan derives from the trace alone, so every config samples the
     *same* windows; submitting all configs' region jobs in one executor
@@ -125,25 +124,15 @@ def sample_workload_many(workload: Union[str, WorkloadProfile],
     region window once for every config sharing its warm class.
     Returns one :class:`SampledRun` per config, in ``configs`` order --
     each identical to what a separate :func:`sample_workload` call
-    would produce.
+    would produce.  ``strategy`` is ``"simpoint"`` or ``"systematic"``;
+    several configs escalate adaptively as one
+    :class:`~repro.sampling.controller.TableController` table.
     """
-    if strategy not in ("simpoint", "systematic", "adaptive"):
+    if strategy not in ("simpoint", "systematic"):
         raise ValueError(f"unknown sampling strategy: {strategy}")
-    if ci_target is not None and strategy != "adaptive":
-        raise ValueError("ci_target applies to the adaptive strategy")
     if not configs:
         return []
     profile = get_profile(workload) if isinstance(workload, str) else workload
-    if strategy == "adaptive":
-        from .adaptive import DEFAULT_CI_TARGET, sample_workload_adaptive_many
-        return sample_workload_adaptive_many(
-            profile, configs, instructions=instructions, skip=skip,
-            ci_target=DEFAULT_CI_TARGET if ci_target is None else ci_target,
-            measure=measure,
-            **({} if warmup is None else {"warmup": warmup}),
-            detail=detail, regions=regions, max_fraction=max_fraction,
-            checkpoint_interval=checkpoint_interval,
-            executor=executor, jobs=jobs, cache=cache, store=store)
     plan_kwargs = {}
     if measure is not None:
         plan_kwargs["measure"] = measure
@@ -224,11 +213,23 @@ def sample_workload(workload: Union[str, WorkloadProfile],
     (pool workers always resolve theirs from the environment, so pass a
     custom store only together with ``jobs=1``).
     """
+    if strategy == "adaptive":
+        from .adaptive import DEFAULT_CI_TARGET, sample_workload_adaptive
+        return sample_workload_adaptive(
+            workload, config, instructions=instructions, skip=skip,
+            ci_target=DEFAULT_CI_TARGET if ci_target is None else ci_target,
+            measure=measure,
+            **({} if warmup is None else {"warmup": warmup}),
+            detail=detail, regions=regions, max_fraction=max_fraction,
+            checkpoint_interval=checkpoint_interval,
+            executor=executor, jobs=jobs, cache=cache, store=store)
+    if ci_target is not None:
+        raise ValueError("ci_target applies to the adaptive strategy")
     return sample_workload_many(
         workload, [config], instructions=instructions, skip=skip,
         strategy=strategy, measure=measure, warmup=warmup, detail=detail,
         regions=regions, max_fraction=max_fraction,
-        checkpoint_interval=checkpoint_interval, ci_target=ci_target,
+        checkpoint_interval=checkpoint_interval,
         executor=executor, jobs=jobs, cache=cache, store=store)[0]
 
 

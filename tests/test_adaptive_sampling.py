@@ -8,6 +8,8 @@ reported CIs, loud fallback when a trace is unavailable), and the
 ``repro.api`` facade.
 """
 
+import dataclasses
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -306,6 +308,129 @@ class TestSampledRunners:
             api.run_workload("mcf", BASE, instructions=800, skip=400,
                              sampling="fixed", request=None, cache=False,
                              ci_target=0.05)  # ci_target needs adaptive
+
+
+    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
+    @pytest.mark.parametrize("entry", ["run_workload", "run_pair",
+                                       "run_suite"])
+    def test_every_entry_point_falls_back_loud_and_full(
+            self, isolated_store, monkeypatch, sampling, entry):
+        # The one sampled-table path owns the fallback: whichever entry
+        # point asks, and whichever mode, a workload whose trace cannot
+        # be acquired comes back as loud full-simulation cells.
+        from repro.trace.store import TraceStore
+
+        def refuse(*args, **kwargs):
+            raise OSError("trace store unavailable")
+        monkeypatch.setattr(TraceStore, "acquire", refuse)
+        req = RunRequest(instructions=800, skip=400, cache=False, jobs=1,
+                         sampling=sampling)
+        if entry == "run_workload":
+            cells = [api.run_workload("mcf", BASE, request=req)]
+        elif entry == "run_pair":
+            pair = api.run_pair("mcf", BASE, PUBS, request=req)
+            cells = [pair.base_cell, pair.variant_cell]
+            assert pair.ci_method == "exact"
+        else:
+            table = api.run_suite({"base": BASE, "pubs": PUBS},
+                                  ["mcf", "sjeng"], request=req)
+            cells = [cell for row in table.values()
+                     for cell in row.values()]
+        assert len(cells) == {"run_workload": 1, "run_pair": 2,
+                              "run_suite": 4}[entry]
+        for cell in cells:
+            assert not cell.is_sampled
+            assert "OSError" in cell.fallback_reason
+            assert cell.full.stats.committed == 800
+            assert math.isnan(cell.relative_ci)
+
+
+# ----------------------------------------------------------------------
+# One adaptive path: every adaptive estimate is a TableController table
+# ----------------------------------------------------------------------
+
+def _adaptive_digest(run):
+    """Plan, rounds, converged flag and per-region SimStats, hashed."""
+    payload = (
+        [(r.start, r.warmup, r.measure, r.detail, r.weight)
+         for r in run.plan.regions],
+        [(r.regions, r.simulated_records, repr(r.relative_ci))
+         for r in run.rounds],
+        run.converged,
+        [sorted(dataclasses.asdict(result.stats).items())
+         for result in run.results],
+    )
+    return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
+
+
+#: Single-config adaptive runs as the per-cell escalation loop produced
+#: them, before every adaptive estimate became a one-config
+#: TableController table: (workload, config, span, CI target, measure)
+#: -> digest, region count, converged.  A 2000-record skip and
+#: ``max_fraction=1`` throughout; the set covers cells that converge
+#: at the start, converge after escalating, and stop at the cap.
+ADAPTIVE_DIGESTS = [
+    ("mcf", "base", 12000, 0.02, 512, "797349ba509e9094", 9, True),
+    ("mcf", "pubs", 12000, 0.02, 512, "d99429679ef21e0d", 9, True),
+    ("sjeng", "base", 12000, 0.02, 512, "387c3207cb93f304", 16, False),
+    ("sjeng", "pubs", 12000, 0.02, 512, "f134b21b63a67e39", 16, False),
+    ("gcc", "base", 12000, 0.02, 512, "7d08a757310a96fa", 16, False),
+    ("gcc", "pubs", 12000, 0.02, 512, "2dc144dd98ffa27f", 16, False),
+    ("mcf", "base", 16000, 0.05, 1024, "68e98210ffed7197", 3, True),
+    ("mcf", "pubs", 16000, 0.05, 1024, "a50fb1a8141a348d", 3, True),
+    ("sjeng", "base", 16000, 0.05, 1024, "0c8cf90dce893198", 12, False),
+    ("sjeng", "pubs", 16000, 0.05, 1024, "6cc8075fab369d44", 12, False),
+    ("gcc", "base", 16000, 0.05, 1024, "ff91752640051175", 12, False),
+    ("gcc", "pubs", 16000, 0.05, 1024, "1165141e6efe894c", 5, True),
+]
+
+
+@pytest.fixture(scope="module")
+def digest_store():
+    return TraceStore(persistent=False)
+
+
+class TestOneAdaptivePath:
+    @pytest.mark.parametrize(
+        "workload,config,span,target,measure,digest,regions,converged",
+        ADAPTIVE_DIGESTS)
+    def test_single_config_runs_match_the_per_cell_digests(
+            self, digest_store, workload, config, span, target, measure,
+            digest, regions, converged):
+        run = sample_workload_adaptive(
+            workload, {"base": BASE, "pubs": PUBS}[config],
+            instructions=span, skip=2000, ci_target=target, measure=measure,
+            max_fraction=1.0, jobs=1, cache=False, store=digest_store)
+        assert (len(run.plan.regions), run.converged) == (regions, converged)
+        assert _adaptive_digest(run) == digest
+
+    @pytest.mark.parametrize("workload", ["mcf", "sjeng", "gcc"])
+    def test_run_workload_matches_the_per_cell_digest(
+            self, isolated_store, workload):
+        req = RunRequest(instructions=12000, skip=2000, cache=False, jobs=1,
+                         sampling="adaptive", ci_target=0.02, measure=512,
+                         max_fraction=1.0)
+        cell = api.run_workload(workload, BASE, request=req)
+        expected = next(row[5] for row in ADAPTIVE_DIGESTS
+                        if row[:3] == (workload, "base", 12000))
+        assert _adaptive_digest(cell.sampled) == expected
+
+    def test_pair_cells_equal_suite_cells(self, isolated_store):
+        # One request, two entry points, one answer: compare used to
+        # escalate each side to its own CPI CI (6 regions on mcf here)
+        # while suite stopped on the paired speedup CI (3 regions).
+        req = RunRequest(instructions=12000, skip=2000, cache=False, jobs=1,
+                         sampling="adaptive", ci_target=0.02, measure=512)
+        pair = api.run_pair("mcf", BASE, PUBS, request=req)
+        table = api.run_suite({"base": BASE, "pubs": PUBS}, ["mcf"],
+                              request=req)
+        for cell, suite_cell in ((pair.base_cell, table["base"]["mcf"]),
+                                 (pair.variant_cell, table["pubs"]["mcf"])):
+            assert _adaptive_digest(cell.sampled) \
+                == _adaptive_digest(suite_cell.sampled)
+        assert pair.ci_method == "paired"
+        assert pair.base_cell.sampled.converged
+        assert pair.speedup_relative_ci <= 0.02
 
 
 class TestSampledSuiteGoldens:

@@ -205,6 +205,49 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "sampled CPI" in out and "coverage" in out
 
+    def test_sample_honors_the_request_file(self, tmp_path, capsys,
+                                            isolated_store):
+        # Regression: sample used to ignore --request-file, so a
+        # malformed file ran the default estimate and exited 0 while
+        # run exits 2.
+        path = tmp_path / "req.json"
+        path.write_text("{not json")
+        assert main(["sample", "mcf", "-n", "6000", "--skip", "1000",
+                     "--no-cache", "--request-file", str(path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_sample_honors_the_queue_backend(self, tmp_path, capsys,
+                                             isolated_store):
+        # Regression: sample used to ignore --backend/--queue-dir and
+        # simulate locally; its region jobs must go through the queue
+        # directory and be executed by a worker leasing from it.
+        import threading
+        import time
+
+        from repro.exec import JobQueue, run_worker
+
+        queue_dir = tmp_path / "queue"
+        JobQueue(queue_dir)  # create the database before two sides race
+        stop = threading.Event()
+
+        def drain_until_stopped():
+            while not stop.is_set():
+                run_worker(queue_dir, drain=True)
+                time.sleep(0.02)
+
+        worker = threading.Thread(target=drain_until_stopped, daemon=True)
+        worker.start()
+        try:
+            assert main(["sample", "mcf", "-n", "6000", "--skip", "1000",
+                         "--no-cache", "--backend", "queue",
+                         "--queue-dir", str(queue_dir)]) == 0
+        finally:
+            stop.set()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert "sampled CPI" in capsys.readouterr().out
+        assert JobQueue(queue_dir).counts().get("done", 0) > 0
+
     def test_trace_record_with_interval(self, capsys, isolated_store):
         assert main(["trace", "record", "--workload", "mcf", "-n", "2000",
                      "--skip", "500", "--interval", "1024"]) == 0

@@ -224,8 +224,6 @@ _REQUESTS = st.builds(
     max_fraction=st.none() | st.floats(min_value=0.01, max_value=1.0),
     checkpoint_interval=st.none() | st.integers(min_value=1,
                                                 max_value=10**6),
-    paired=st.none() | st.booleans(),
-    table_budget=st.none() | st.booleans(),
 )
 
 
