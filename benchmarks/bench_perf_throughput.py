@@ -65,7 +65,7 @@ from pathlib import Path
 
 from common import INSTRUCTIONS, SKIP
 
-from repro import ProcessorConfig
+from repro import ProcessorConfig, RunRequest, run_workload
 from repro.analysis import render_table
 from repro.core.simulator import simulate
 from repro.exec import SimJob, SweepExecutor
@@ -75,13 +75,11 @@ from repro.sampling import (
     DEFAULT_MAX_FRACTION,
     DEFAULT_MEASURE,
     DEFAULT_REGIONS,
-    sample_workload,
-    sample_workload_adaptive,
     sampled_vs_full_error,
 )
 from repro.trace import TraceStore
 from repro.trace.replay import INST_BYTES, static_decode_table
-from repro.trace.store import REPLAY_MARGIN
+from repro.trace.store import REPLAY_MARGIN, shared_store
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
@@ -313,7 +311,7 @@ def _decode_throughput(program, trace):
 
 def test_sampling_accuracy_speedup(report):
     cfg = ProcessorConfig.cortex_a72_like()
-    store = TraceStore(persistent=False)
+    store = shared_store()
     records = SAMPLING_SKIP + SAMPLING_INSTRUCTIONS + REPLAY_MARGIN
 
     rows = []
@@ -337,10 +335,10 @@ def test_sampling_accuracy_speedup(report):
         full_elapsed = time.perf_counter() - start
 
         start = time.perf_counter()
-        sampled = sample_workload(workload, cfg,
-                                  instructions=SAMPLING_INSTRUCTIONS,
-                                  skip=SAMPLING_SKIP,
-                                  jobs=1, cache=False, store=store)
+        sampled = run_workload(workload, cfg,
+                               instructions=SAMPLING_INSTRUCTIONS,
+                               skip=SAMPLING_SKIP, jobs=1, cache=False,
+                               sampling="fixed").sampled
         sampled_elapsed = time.perf_counter() - start
 
         error = sampled_vs_full_error(sampled, full)
@@ -420,7 +418,7 @@ def test_adaptive_sampling_honesty(report):
     """
     base = ProcessorConfig.cortex_a72_like()
     configs = {"base": base, "pubs": base.with_pubs()}
-    store = TraceStore(persistent=False)
+    store = shared_store()
     fixed_records = DEFAULT_REGIONS * (DEFAULT_MEASURE + DEFAULT_DETAIL)
     # The fixed plan must not itself be budget-capped below 8 regions at
     # this span, or the comparison would be against a strawman.
@@ -441,9 +439,10 @@ def test_adaptive_sampling_honesty(report):
                             max_instructions=SAMPLING_INSTRUCTIONS,
                             skip_instructions=SAMPLING_SKIP,
                             mem_seed=profile.mem_seed, trace_source=store)
-            run = sample_workload_adaptive(
+            run = run_workload(
                 workload, cfg, instructions=SAMPLING_INSTRUCTIONS,
-                skip=SAMPLING_SKIP, jobs=1, cache=False, store=store)
+                skip=SAMPLING_SKIP, jobs=1, cache=False,
+                sampling="adaptive").sampled
             golden = full.stats.cycles / full.stats.committed
             lo, hi = run.cpi.ci95
             inside = lo <= golden <= hi
@@ -649,7 +648,7 @@ def test_paired_budget_reduction(report):
     configs = {"base": base,
                "slow-recovery": base.with_overrides(
                    recovery_penalty=PAIRED_RECOVERY_PENALTY)}
-    store = TraceStore(persistent=False)
+    store = shared_store()
 
     full_speedups = {}
     independent = {}
@@ -672,11 +671,11 @@ def test_paired_budget_reduction(report):
         # Leg A: every cell escalates to its own CPI CI target -- one
         # single-config adaptive estimate per config.
         independent[workload] = sum(
-            sample_workload_adaptive(
-                workload, cfg, instructions=SAMPLING_INSTRUCTIONS,
-                skip=SAMPLING_SKIP, ci_target=PAIRED_CI_TARGET,
-                measure=PAIRED_MEASURE, jobs=1, cache=False,
-                store=store).simulated_records
+            run_workload(workload, cfg, request=RunRequest(
+                instructions=SAMPLING_INSTRUCTIONS, skip=SAMPLING_SKIP,
+                jobs=1, cache=False, sampling="adaptive",
+                ci_target=PAIRED_CI_TARGET,
+                measure=PAIRED_MEASURE)).simulated_records
             for cfg in configs.values())
 
         # Leg B: the controller stops on the paired speedup CI instead.
@@ -684,7 +683,7 @@ def test_paired_budget_reduction(report):
             workload, list(configs.values()),
             instructions=SAMPLING_INSTRUCTIONS, skip=SAMPLING_SKIP,
             ci_target=PAIRED_CI_TARGET, measure=PAIRED_MEASURE,
-            jobs=1, cache=False, store=store))
+            jobs=1, cache=False))
 
     controller.run()
     table = controller.results()

@@ -13,5 +13,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
+    install_requires=["numpy"],
     entry_points={"console_scripts": ["repro = repro.cli:main"]},
 )

@@ -34,7 +34,7 @@ from .analysis import (
     speedup,
     speedup_percent,
 )
-from .api import RunRequest, sample_workload
+from .api import RunRequest
 from .core import (
     Pipeline,
     ProcessorConfig,
@@ -57,7 +57,6 @@ __all__ = [
     "RunRequest",
     "WorkloadRun",
     "dbp_workloads",
-    "sample_workload",
     "geometric_mean",
     "run_pair",
     "run_suite",

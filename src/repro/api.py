@@ -30,10 +30,16 @@ There is no batching knob: replay-mode configs that share a warm class
 always walk their trace together (:func:`run_batch`, up to
 ``DEFAULT_BATCH_LIMIT`` per walk), and a single replay run is a batch
 of one.  Nor is there a stop-rule knob: every adaptive estimate --
-:func:`run_workload`, :func:`run_pair`, :func:`run_suite`,
-:func:`sample_workload_adaptive` -- is a :class:`TableController`
-table, judged on the paired speedup CI against the first config when
-it has two or more configs and on the own CPI CI when it has one.
+:func:`run_workload`, :func:`run_pair`, :func:`run_suite` -- is a
+:class:`TableController` table, judged on the paired speedup CI
+against the first config when it has two or more configs and on the
+own CPI CI when it has one.
+
+These three functions are the only sampling entry points: a sampled
+estimate is a :class:`RunRequest` with ``sampling="fixed"`` or
+``"adaptive"`` (``repro sample`` is a one-config :func:`run_suite`
+table).  Execution policy is the executor alone; traces come from the
+shared store, which ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` select.
 Sampled comparisons always report the paired CI where the schedules
 are shared, quadrature where they are not.
 
@@ -72,14 +78,10 @@ from .exec import (
     create_backend,
     run_worker,
 )
-from .sampling.adaptive import (
-    AdaptiveRun,
-    AdaptiveSession,
-    sample_workload_adaptive,
-)
+from .sampling.adaptive import AdaptiveRun, AdaptiveSession
 from .sampling.controller import TableController
 from .sampling.paired import PairedEstimate, paired_speedup
-from .sampling.run import SampledRun, sample_workload, sample_workload_many
+from .sampling.run import SampledRun
 
 __all__ = [
     "AdaptiveRun",
@@ -107,7 +109,4 @@ __all__ = [
     "run_pair",
     "run_suite",
     "run_workload",
-    "sample_workload",
-    "sample_workload_adaptive",
-    "sample_workload_many",
 ]

@@ -76,7 +76,6 @@ from .api import (
     run_pair,
     run_suite,
     run_workload,
-    sample_workload,
 )
 from .core import ProcessorConfig
 from .core.stats import D_BP_BRANCH_MPKI_THRESHOLD
@@ -284,15 +283,19 @@ CLI_INSTRUCTIONS = 10_000
 CLI_SKIP = 10_000
 
 
-def _add_budget_args(parser: argparse.ArgumentParser) -> None:
-    # default=None so a request file can supply the budget; the CLI
-    # default applies last, in _request_from_args.
+def _add_budget_args(parser: argparse.ArgumentParser,
+                     instructions: int = CLI_INSTRUCTIONS,
+                     skip: int = CLI_SKIP) -> None:
+    # default=None so a request file can supply the budget; the command's
+    # own default applies last, in _request_from_args.
     parser.add_argument("-n", "--instructions", type=int, default=None,
-                        help="committed instructions to simulate "
-                             f"(default {CLI_INSTRUCTIONS})")
+                        help="committed instructions to simulate, or for a "
+                             "sampled run to estimate (default "
+                             f"{instructions})")
     parser.add_argument("--skip", type=int, default=None,
                         help="instructions fast-forwarded for warm-up "
-                             f"(default {CLI_SKIP})")
+                             f"(default {skip})")
+    parser.set_defaults(default_budget=(instructions, skip))
 
 
 def _cache_flag(args) -> Optional[bool]:
@@ -318,45 +321,55 @@ def _executor_from_args(args) -> SweepExecutor:
                          backend=backend)
 
 
-def _request_from_args(args) -> RunRequest:
-    """One :class:`RunRequest` from whatever flags the command carries.
+class _UsageError(Exception):
+    """A request the command line cannot run: ``main`` exits 2."""
+
+
+def _request_from_args(args, **defaults) -> RunRequest:
+    """The resolved :class:`RunRequest` a command's flags describe.
 
     ``--request-file`` (when the command takes one) supplies the
-    baseline; explicit flags override its fields; unset fields stay
-    None, so the request's :meth:`~repro.core.config.RunRequest.
-    resolved` step (inside the runner) lets the environment fill them
-    and the library defaults apply last -- the flag > request file >
-    env > default precedence, in one place for every subcommand.
+    baseline; explicit flags override its fields; ``defaults`` (the
+    command's own, e.g. ``sample``'s fixed mode) and then the command's
+    budget fill what neither set; the environment fills the rest
+    (:meth:`~repro.core.config.RunRequest.resolved`) and the library
+    defaults apply last -- the flag > request file > env > default
+    precedence, in one place for every subcommand.  An invalid request
+    (a ``ValueError`` from its validation, an unreadable file) raises
+    :class:`_UsageError`.
     """
-    flags = RunRequest(
-        instructions=getattr(args, "instructions", None),
-        skip=getattr(args, "skip", None),
-        jobs=getattr(args, "jobs", None),
-        cache=False if getattr(args, "no_cache", False) else None,
-        backend=getattr(args, "backend", None),
-        frontend=getattr(args, "frontend", None),
-        sampling=getattr(args, "sampling", None),
-        ci_target=getattr(args, "ci_target", None),
-        regions=getattr(args, "regions", None),
-        measure=getattr(args, "measure", None),
-        warmup=getattr(args, "warmup", None),
-        detail=getattr(args, "detail", None),
-        max_fraction=getattr(args, "fraction", None),
-    )
-    request_file = getattr(args, "request_file", None)
-    if request_file:
-        base = RunRequest.from_json(Path(request_file).read_text())
-        flags = base.with_overrides(**{
-            field.name: getattr(flags, field.name)
-            for field in dataclasses.fields(RunRequest)})
-    # The CLI's classic budget applies only to commands that expose
-    # budget flags, and only when nothing else supplied one.
-    if hasattr(args, "instructions"):
-        flags = flags.with_overrides(
-            instructions=CLI_INSTRUCTIONS if flags.instructions is None
-            else None,
-            skip=CLI_SKIP if flags.skip is None else None)
-    return flags
+    try:
+        flags = RunRequest(
+            instructions=getattr(args, "instructions", None),
+            skip=getattr(args, "skip", None),
+            jobs=getattr(args, "jobs", None),
+            cache=False if getattr(args, "no_cache", False) else None,
+            backend=getattr(args, "backend", None),
+            frontend=getattr(args, "frontend", None),
+            sampling=getattr(args, "sampling", None),
+            ci_target=getattr(args, "ci_target", None),
+            regions=getattr(args, "regions", None),
+            measure=getattr(args, "measure", None),
+            warmup=getattr(args, "warmup", None),
+            detail=getattr(args, "detail", None),
+            max_fraction=getattr(args, "fraction", None),
+            checkpoint_interval=getattr(args, "checkpoint_interval", None),
+        )
+        request_file = getattr(args, "request_file", None)
+        if request_file:
+            base = RunRequest.from_json(Path(request_file).read_text())
+            flags = base.with_overrides(**{
+                field.name: getattr(flags, field.name)
+                for field in dataclasses.fields(RunRequest)})
+        budget = getattr(args, "default_budget", None)
+        if budget is not None:
+            defaults = {"instructions": budget[0], "skip": budget[1],
+                        **defaults}
+        return flags.with_overrides(**{
+            name: value for name, value in defaults.items()
+            if getattr(flags, name) is None}).resolved()
+    except (OSError, ValueError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _pct(value: float) -> str:
@@ -687,7 +700,7 @@ def _cmd_cache(args) -> int:
 def _reject_sampling(args, command: str, why: str) -> bool:
     """True (and an error message) when a sampled mode was requested --
     by flag, request file or environment, in that precedence."""
-    if _request_from_args(args).resolved().sampling != "off":
+    if _request_from_args(args).sampling != "off":
         print(f"error: {command} {why}; --sampling must be off",
               file=sys.stderr)
         return True
@@ -769,67 +782,45 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .sampling import CPI_ERROR_GATE, sampled_vs_full_error
-    # Validate the region arithmetic up front: a zero or negative count
-    # would otherwise surface as an opaque failure deep in trace capture
-    # or region scheduling.
-    for flag, value in (("--regions", args.regions),
-                        ("--measure", args.measure)):
-        if value is not None and value < 1:
-            print(f"error: {flag} must be a positive count, got {value}",
-                  file=sys.stderr)
-            return 2
-    if args.interval is not None and args.interval < 1:
-        print("error: --interval must be positive (sampled replay needs "
-              f"checkpoints), got {args.interval}", file=sys.stderr)
-        return 2
-    req = _request_from_args(args).with_overrides(
-        checkpoint_interval=args.interval)
-    # The sample command always samples; the request's sampling mode
-    # (flag or request file) only picks the scheduler family (fixed ->
-    # simpoint, adaptive -> escalation).
-    strategy = args.strategy
+    from .sampling import CPI_ERROR_GATE
+    # The sample command always samples: an unset mode means fixed.
+    req = _request_from_args(args, sampling="fixed")
     if req.sampling == "off":
         print("error: the sample command always samples; use 'run' for a "
               "full simulation", file=sys.stderr)
         return 2
-    if req.sampling == "adaptive":
-        strategy = "adaptive"
-    elif req.sampling == "fixed" and strategy == "adaptive":
-        strategy = "simpoint"
-    executor = _executor_from_args(args)
     config = _machine_from_args(args)
     names = args.workloads or sorted(spec2006_profiles())
+    cells = run_suite({"machine": config}, names, request=req,
+                      executor=_executor_from_args(args))["machine"]
     rows = []
     failures = 0
     for name in names:
-        run = sample_workload(
-            name, config,
-            instructions=req.instructions, skip=req.skip,
-            strategy=strategy, measure=req.measure,
-            warmup=req.warmup, detail=req.detail, regions=req.regions,
-            max_fraction=req.max_fraction,
-            checkpoint_interval=req.checkpoint_interval,
-            ci_target=req.ci_target if strategy == "adaptive" else None,
-            executor=executor)
-        if isinstance(run, AdaptiveRun):
-            marks = " -> ".join(f"{r.regions}:{_pct(r.relative_ci)}"
-                                for r in run.rounds)
-            state = "converged" if run.converged else "cap"
-            print(f"  {name}: {marks} ({state})", file=sys.stderr)
-        row = [name, f"{run.cpi.point:.4f}", _estimate_ci(run.cpi),
-               _pct(run.cpi.relative_error),
-               str(len(run.results)), f"{run.coverage:.1%}",
-               f"{run.misspec_penalty.point:.1f}"]
+        cell = cells[name]
+        run = cell.sampled
+        if run is None:
+            _note_fallback(cell, name)
+            row = [name, f"{cell.cpi:.4f}", "exact", "n/a", "full",
+                   "100.0%", f"{cell.stats.avg_missspec_penalty:.1f}"]
+        else:
+            if isinstance(run, AdaptiveRun):
+                marks = " -> ".join(f"{r.regions}:{_pct(r.relative_ci)}"
+                                    for r in run.rounds)
+                state = "converged" if run.converged else "cap"
+                print(f"  {name}: {marks} ({state})", file=sys.stderr)
+            row = [name, f"{run.cpi.point:.4f}", _estimate_ci(run.cpi),
+                   _pct(run.cpi.relative_error),
+                   str(len(run.results)), f"{run.coverage:.1%}",
+                   f"{run.misspec_penalty.point:.1f}"]
         if args.check_full:
             full = run_workload(name, config, req.instructions, req.skip,
                                 cache=req.cache, frontend="replay",
                                 sampling="off")
-            error = sampled_vs_full_error(run, full)
+            full_cpi = full.stats.cycles / full.stats.committed
+            error = abs(cell.cpi - full_cpi) / full_cpi
             ok = error <= CPI_ERROR_GATE
             failures += not ok
-            row += [f"{full.stats.cycles / full.stats.committed:.4f}",
-                    f"{error:.2%}", "ok" if ok else "FAIL"]
+            row += [f"{full_cpi:.4f}", f"{error:.2%}", "ok" if ok else "FAIL"]
         rows.append(row)
     header = ["workload", "sampled CPI", "95% CI", "rel CI", "regions",
               "coverage", "misspec/br"]
@@ -852,15 +843,13 @@ def _cmd_profile(args) -> int:
                         "run would profile the executor instead"):
         return 2
     config = _machine_from_args(args)
+    req = _request_from_args(args)
     profiler = cProfile.Profile()
     profiler.enable()
     # cache=False: profiling a cache hit would measure pickle, not the
     # simulator.
-    instructions = CLI_INSTRUCTIONS if args.instructions is None \
-        else args.instructions
-    skip = CLI_SKIP if args.skip is None else args.skip
-    result = run_workload(args.workload, config, instructions,
-                          skip, cache=False, frontend=args.frontend,
+    result = run_workload(args.workload, config, req.instructions,
+                          req.skip, cache=False, frontend=req.frontend,
                           sampling="off")
     profiler.disable()
     print(result.summary())
@@ -975,7 +964,7 @@ def _cmd_submit(args) -> int:
                   file=sys.stderr)
 
         port = args.port if args.port is not None else DEFAULT_PORT
-        reply = submit_sweep(args.host, port, req.resolved(),
+        reply = submit_sweep(args.host, port, req,
                              {"base": base, "variant": variant}, names,
                              on_cell=on_cell)
         counters = reply.summary.get("counters", {})
@@ -1135,15 +1124,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=shared)
     p_smp.add_argument("workloads", nargs="*", default=None,
                        help="workloads to sample (default: all of them)")
-    p_smp.add_argument("-n", "--instructions", type=int, default=60_000,
-                       help="timed span of the full run being estimated")
-    p_smp.add_argument("--skip", type=int, default=2_000,
-                       help="instructions before the timed span")
-    p_smp.add_argument("--strategy", default="simpoint",
-                       choices=["simpoint", "systematic", "adaptive"],
-                       help="region scheduler: clustered representatives, "
-                            "evenly spaced windows, or variance-driven "
-                            "escalation (DESIGN.md §11)")
     p_smp.add_argument("--measure", type=int, default=None,
                        help="timed records per region (default: 1024)")
     p_smp.add_argument("--warmup", type=int, default=None,
@@ -1153,17 +1133,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="timed-but-discarded warm records per region "
                             "(default: measure/4)")
     p_smp.add_argument("--regions", type=int, default=None,
-                       help="cap on representatives (default: 8 simpoint, "
+                       help="cap on representatives (default: 8 fixed, "
                             "16 adaptive)")
     p_smp.add_argument("--fraction", type=float, default=None,
                        help="max fraction of the span simulated "
                             "(default: 1/3)")
     p_smp.add_argument("--interval", type=int, default=None,
+                       dest="checkpoint_interval",
                        help="trace checkpoint interval (default: 8192)")
     p_smp.add_argument("--check-full", action="store_true",
                        help="also run the full span and gate the sampled "
                             "CPI at 3%% relative error")
     _add_machine_args(p_smp)
+    _add_budget_args(p_smp, 60_000, 2_000)
 
     p_st = sub.add_parser(
         "stress",
@@ -1302,6 +1284,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _COMMANDS[args.command](args)
     except BrokenPipeError:  # e.g. `repro list | head`
         return 0
-    except WireError as exc:  # bad --request-file / fabric payload
+    except (_UsageError, WireError) as exc:  # bad request / fabric payload
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -62,6 +62,8 @@ from collections import deque
 from operator import itemgetter
 from typing import Deque, Dict, List, Optional
 
+import numpy as np
+
 from ..branch.base import BranchPredictor
 from ..branch.btb import BranchTargetBuffer
 from ..branch.classic import BimodePredictor, GsharePredictor, TournamentPredictor
@@ -493,46 +495,29 @@ class Pipeline:
         """:meth:`_warm`'s memory-hierarchy half over trace records.
 
         Most records are neither an I-line change nor a memory access;
-        when numpy is available the warm events are extracted
-        vectorized, so the Python loop only visits records that touch
-        the hierarchy -- same calls in the same order, so the resulting
-        warm state is bit-identical to the per-record walk.
+        the warm events are extracted vectorized, so the Python loop only
+        visits records that touch the hierarchy -- same calls in the same
+        order, so the resulting warm state is bit-identical to a
+        per-record walk.
         """
         if end <= start:
             return
         pcs = trace.pcs
-        flags = trace.flags
         mem_addrs = trace.mem_addrs
         hierarchy = self.hierarchy
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None:
-            lines = np.frombuffer(pcs, dtype=np.uint32)[start:end] >> 6
-            chg = np.empty(len(lines), dtype=bool)
-            chg[0] = lines[0] != self._last_ifetch_line
-            np.not_equal(lines[1:], lines[:-1], out=chg[1:])
-            mem = (np.frombuffer(flags, dtype=np.uint8)[start:end]
-                   & FLAG_MEM) != 0
-            for off in np.nonzero(chg | mem)[0].tolist():
-                i = start + off
-                if chg[off]:
-                    hierarchy.warm_ifetch(pcs[i])
-                if mem[off]:
-                    hierarchy.warm_data(mem_addrs[i])
-            self._last_ifetch_line = int(lines[-1])
-            return
-        last_line = self._last_ifetch_line
-        for i in range(start, end):
-            pc = pcs[i]
-            line = pc >> 6
-            if line != last_line:
-                hierarchy.warm_ifetch(pc)
-                last_line = line
-            if flags[i] & FLAG_MEM:
+        lines = np.frombuffer(pcs, dtype=np.uint32)[start:end] >> 6
+        chg = np.empty(len(lines), dtype=bool)
+        chg[0] = lines[0] != self._last_ifetch_line
+        np.not_equal(lines[1:], lines[:-1], out=chg[1:])
+        mem = (np.frombuffer(trace.flags, dtype=np.uint8)[start:end]
+               & FLAG_MEM) != 0
+        for off in np.nonzero(chg | mem)[0].tolist():
+            i = start + off
+            if chg[off]:
+                hierarchy.warm_ifetch(pcs[i])
+            if mem[off]:
                 hierarchy.warm_data(mem_addrs[i])
-        self._last_ifetch_line = last_line
+        self._last_ifetch_line = int(lines[-1])
 
     def _warm_front_span(self, trace, start: int, end: int) -> None:
         """:meth:`_warm`'s predictor-complex half over trace records.
@@ -548,17 +533,8 @@ class Pipeline:
         btb = self.btb
         tracker = self.slice_tracker
         pubs_on = self.config.pubs.enabled
-        try:
-            import numpy as np
-        except ImportError:
-            np = None
-        if np is not None and end > start:
-            seg = np.frombuffer(flags, dtype=np.uint8)[start:end]
-            indices = np.nonzero(seg & FLAG_COND_BRANCH)[0].tolist()
-        else:
-            indices = (i - start for i in range(start, end)
-                       if flags[i] & FLAG_COND_BRANCH)
-        for off in indices:
+        seg = np.frombuffer(flags, dtype=np.uint8)[start:end]
+        for off in np.nonzero(seg & FLAG_COND_BRANCH)[0].tolist():
             i = start + off
             f = flags[i]
             pc = pcs[i]

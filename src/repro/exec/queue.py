@@ -59,6 +59,9 @@ DEFAULT_LEASE_TTL = 60.0
 DEFAULT_MAX_ATTEMPTS = 3
 #: Database file name inside a queue directory.
 QUEUE_DB = "queue.db"
+#: Tries at the one-time WAL switch (backoff doubles from 10 ms, ~10 s
+#: in all) before a locked fresh database is reported.
+_WAL_ATTEMPTS = 10
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -133,6 +136,20 @@ class JobQueue:
         self.lease_ttl = float(lease_ttl)
         self.max_attempts = int(max_attempts)
         self._db = self.root / QUEUE_DB
+        # WAL lets submitters and workers read concurrently, and the mode
+        # persists in the database file, so it is switched once here.
+        # The busy timeout does not cover the switch: processes opening a
+        # fresh directory together can see "database is locked", so the
+        # switch retries with bounded backoff.
+        for attempt in range(_WAL_ATTEMPTS):
+            try:
+                with self._session() as con:
+                    con.execute("PRAGMA journal_mode=WAL")
+                break
+            except sqlite3.OperationalError:
+                if attempt == _WAL_ATTEMPTS - 1:
+                    raise
+                time.sleep(0.01 * 2 ** attempt)
         # Autocommit session: executescript force-commits any pending
         # transaction, so it must not run inside an explicit one.
         with self._session() as con:
@@ -141,15 +158,13 @@ class JobQueue:
     @contextlib.contextmanager
     def _session(self, write: bool = False):
         # A fresh connection per operation: trivially safe across
-        # threads and fork, and cheap next to a simulation.  WAL lets
-        # submitters and workers read concurrently; the busy timeout
-        # rides out sibling writers instead of raising immediately.
-        # ``write`` wraps the session in one immediate transaction, so
-        # read-modify-write sequences (lease, fail) are atomic against
-        # sibling workers.
+        # threads and fork, and cheap next to a simulation.  The busy
+        # timeout rides out sibling writers instead of raising
+        # immediately.  ``write`` wraps the session in one immediate
+        # transaction, so read-modify-write sequences (lease, fail) are
+        # atomic against sibling workers.
         con = sqlite3.connect(self._db, timeout=30.0, isolation_level=None)
         try:
-            con.execute("PRAGMA journal_mode=WAL")
             con.execute("PRAGMA busy_timeout=30000")
             if write:
                 con.execute("BEGIN IMMEDIATE")

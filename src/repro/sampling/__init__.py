@@ -1,32 +1,34 @@
-"""SimPoint/SMARTS-style sampled simulation over recorded traces.
+"""SimPoint-style sampled simulation over recorded traces.
 
-See DESIGN.md §10.  Public surface:
+See DESIGN.md §10-§11.  Callers request sampling through
+:class:`~repro.core.config.RunRequest` (``sampling="fixed"`` or
+``"adaptive"``) on :mod:`repro.api`'s ``run_workload`` / ``run_pair`` /
+``run_suite``; this package is the machinery behind that one door:
 
-* :func:`~repro.sampling.regions.plan_representative_regions` --
-  SimPoint-style planning: cluster the span's windows on trace-derived
-  behavior signatures (:mod:`repro.sampling.signature`) and schedule
-  one weighted representative per cluster;
-* :func:`~repro.sampling.regions.plan_regions` /
-  :class:`~repro.sampling.regions.RegionPlan` -- systematic
-  (SMARTS-style) evenly spaced windows over the same span;
-* :func:`~repro.sampling.run.sample_workload` /
-  :class:`~repro.sampling.run.SampledRun` -- fan the windows out as
-  independently cached exec jobs and aggregate;
-* :func:`~repro.sampling.adaptive.sample_workload_adaptive` /
-  :class:`~repro.sampling.adaptive.AdaptiveRun` -- variance-driven
-  escalation: start from a small representative set and split clusters
-  until the CI half-width meets ``ci_target`` or the region cap (a
-  one-config :class:`~repro.sampling.controller.TableController` table);
+* :func:`~repro.sampling.regions.plan_representative_regions` /
+  :class:`~repro.sampling.regions.RegionPlan` -- cluster the span's
+  windows on trace-derived behavior signatures
+  (:mod:`repro.sampling.signature`) and schedule one weighted
+  representative per cluster;
+* :func:`~repro.sampling.run.sample_workload_many` /
+  :class:`~repro.sampling.run.SampledRun` -- the fixed mode: fan one
+  workload's windows out as independently cached exec jobs for every
+  config and aggregate;
+* :class:`~repro.sampling.adaptive.AdaptiveSession` /
+  :class:`~repro.sampling.adaptive.AdaptiveRun` -- the adaptive mode:
+  variance-driven escalation that starts from a small representative
+  set and splits clusters until the CI half-width meets ``ci_target``
+  or the region cap;
+* :class:`~repro.sampling.controller.TableController` -- whole-table
+  budget control: escalate whichever workload has the worst
+  CI-to-target ratio until the table meets the target (every adaptive
+  estimate, one cell included, is such a table);
 * :class:`~repro.sampling.aggregate.SampledEstimate` -- weighted
   whole-span point estimate with per-region spread (reuses
   :class:`~repro.analysis.robustness.SweepSummary`'s n>=2 honesty rule);
 * :func:`~repro.sampling.paired.paired_speedup` /
   :class:`~repro.sampling.paired.PairedEstimate` -- common-regions
-  paired-jackknife speedup CI over two runs' shared windows;
-* :class:`~repro.sampling.controller.TableController` /
-  :class:`~repro.sampling.adaptive.AdaptiveSession` -- whole-table
-  budget control: escalate whichever workload has the worst
-  CI-to-target ratio until the table meets the target.
+  paired-jackknife speedup CI over two runs' shared windows.
 """
 
 from .adaptive import (
@@ -37,7 +39,6 @@ from .adaptive import (
     AdaptiveRound,
     AdaptiveRun,
     AdaptiveSession,
-    sample_workload_adaptive,
 )
 from .controller import TableController
 from .paired import (
@@ -62,7 +63,6 @@ from .regions import (
     DEFAULT_WARMUP,
     Region,
     RegionPlan,
-    plan_regions,
     plan_representative_regions,
 )
 from .run import (
@@ -70,7 +70,6 @@ from .run import (
     SampledRun,
     acquire_span_trace,
     region_jobs,
-    sample_workload,
     sample_workload_many,
     sampled_vs_full_error,
 )
@@ -108,11 +107,8 @@ __all__ = [
     "cluster_windows",
     "estimate_cpi",
     "estimate_misspec_penalty",
-    "plan_regions",
     "plan_representative_regions",
     "region_jobs",
-    "sample_workload",
-    "sample_workload_adaptive",
     "paired_speedup",
     "sample_workload_many",
     "sampled_vs_full_error",

@@ -22,8 +22,10 @@ cross-workload variance in misprediction behavior):
    convergence, the region cap, or no cluster left to split.
 
 The stop decision belongs to :class:`~repro.sampling.controller.
-TableController`: :func:`sample_workload_adaptive` is a one-workload,
-one-config table, whose criterion is that config's own CPI CI.
+TableController`: an :class:`AdaptiveSession` holds one workload's
+configs, and a one-config table's criterion is that config's own CPI
+CI.  Callers reach it through a :class:`~repro.core.config.RunRequest`
+with ``sampling="adaptive"`` (:mod:`repro.api`).
 
 Everything is deterministic -- seeding, dispersion ranking, farthest-
 member selection and tie-breaks -- so a (trace, parameters) pair always
@@ -43,16 +45,16 @@ from ..core.config import ProcessorConfig
 from ..core.simulator import SimulationResult
 from ..exec.executor import SweepExecutor
 from ..exec.jobs import SimJob
-from ..trace.store import TraceStore
 from ..workloads.profiles import WorkloadProfile, get_profile
 from .aggregate import estimate_cpi, estimate_misspec_penalty
-from .controller import TableController
 from .regions import (
     DEFAULT_MAX_FRACTION,
     DEFAULT_MEASURE,
     DEFAULT_WARMUP,
     Region,
     RegionPlan,
+    window_region,
+    window_shape,
 )
 from .run import SampledRun, acquire_span_trace
 from .signature import (
@@ -164,18 +166,6 @@ def _next_split(clusters: List[_Cluster], signatures) -> Optional[int]:
     return best
 
 
-def _window_region(index: int, measure: int, skip: int,
-                   warmup: "int | None", detail: int, weight: int) -> Region:
-    """The :class:`Region` replaying tiled window ``index``."""
-    start = skip + index * measure
-    d = min(detail, start)
-    full_prefix = start - d
-    return Region(start=start,
-                  warmup=full_prefix if warmup is None
-                  else min(warmup, full_prefix),
-                  measure=measure, detail=d, weight=weight)
-
-
 @dataclass
 class _EscalationState:
     """One config's private escalation state in a lockstep session."""
@@ -184,25 +174,6 @@ class _EscalationState:
     clusters: List[_Cluster]
     simulated: Dict[int, SimulationResult]
     rounds: List[AdaptiveRound]
-
-
-def _validate_schedule_params(ci_target: float, start_regions: int,
-                              batch: int, regions: Optional[int],
-                              instructions: int, skip: int) -> None:
-    """The parameter checks that precede any trace or profile work."""
-    if ci_target <= 0:
-        raise ValueError("ci_target must be positive")
-    if start_regions < 2:
-        raise ValueError("start_regions must be at least 2 (a single "
-                         "region supports no CI claim)")
-    if batch < 1:
-        raise ValueError("batch must be positive")
-    if regions is not None and regions < start_regions:
-        raise ValueError("regions cap must cover the starting set")
-    if instructions < 1:
-        raise ValueError("instructions must be positive")
-    if skip < 0:
-        raise ValueError("skip must be non-negative")
 
 
 class AdaptiveSession:
@@ -238,31 +209,26 @@ class AdaptiveSession:
                  checkpoint_interval: Optional[int] = None,
                  executor: Optional[SweepExecutor] = None,
                  jobs: Optional[int] = None,
-                 cache: "Optional[bool]" = None,
-                 store: Optional[TraceStore] = None) -> None:
-        _validate_schedule_params(ci_target, start_regions, batch, regions,
-                                  instructions, skip)
+                 cache: "Optional[bool]" = None) -> None:
+        if ci_target <= 0:
+            raise ValueError("ci_target must be positive")
+        if start_regions < 2:
+            raise ValueError("start_regions must be at least 2 (a single "
+                             "region supports no CI claim)")
+        if batch < 1:
+            raise ValueError("batch must be positive")
+        if regions is not None and regions < start_regions:
+            raise ValueError("regions cap must cover the starting set")
         if not configs:
             raise ValueError("an adaptive session needs at least one config")
+        budget, measure, detail = window_shape(
+            instructions, skip,
+            DEFAULT_MEASURE if measure is None else measure, detail, warmup,
+            DEFAULT_MAX_FRACTION if max_fraction is None else max_fraction)
         self.profile = get_profile(workload) if isinstance(workload, str) \
             else workload
         bases = [config or ProcessorConfig.cortex_a72_like()
                  for config in configs]
-        max_fraction = DEFAULT_MAX_FRACTION if max_fraction is None \
-            else max_fraction
-        if not 0 < max_fraction <= 1:
-            raise ValueError("max_fraction must be in (0, 1]")
-        budget = max(1, int(instructions * max_fraction))
-        measure = DEFAULT_MEASURE if measure is None else measure
-        if measure < 1:
-            raise ValueError("measure must be positive")
-        measure = min(measure, budget)
-        detail = measure // 4 if detail is None else detail
-        if detail < 0:
-            raise ValueError("detail must be non-negative")
-        detail = min(detail, budget - measure)
-        if warmup is not None and warmup < 0:
-            raise ValueError("warmup must be non-negative")
 
         self.instructions = instructions
         self.skip = skip
@@ -273,7 +239,7 @@ class AdaptiveSession:
         self._detail = detail
 
         self._trace = acquire_span_trace(self.profile, instructions, skip,
-                                         checkpoint_interval, store)
+                                         checkpoint_interval)
         windows = max(1, instructions // measure)
         self.cap = min(regions if regions is not None else DEFAULT_ADAPTIVE_CAP,
                        max(1, budget // (measure + detail)),
@@ -299,8 +265,8 @@ class AdaptiveSession:
     # ------------------------------------------------------------------
 
     def _region(self, window: int, weight: int = 1) -> Region:
-        return _window_region(window, self._measure, self.skip,
-                              self._warmup, self._detail, weight)
+        return window_region(window, self._measure, self.skip,
+                             self._warmup, self._detail, weight)
 
     def _planned_records(self, state: _EscalationState) -> int:
         """Timed records of the state's planned regions, clamps included.
@@ -434,46 +400,6 @@ class AdaptiveSession:
         return runs
 
 
-def sample_workload_adaptive(
-        workload: Union[str, WorkloadProfile],
-        config: Optional[ProcessorConfig] = None,
-        instructions: int = 20_000,
-        skip: int = 2_000,
-        ci_target: float = DEFAULT_CI_TARGET,
-        measure: Optional[int] = None,
-        warmup: Optional[int] = DEFAULT_WARMUP,
-        detail: Optional[int] = None,
-        start_regions: int = DEFAULT_START_REGIONS,
-        batch: int = DEFAULT_BATCH,
-        regions: Optional[int] = None,
-        max_fraction: Optional[float] = None,
-        checkpoint_interval: Optional[int] = None,
-        executor: Optional[SweepExecutor] = None,
-        jobs: Optional[int] = None,
-        cache: "Optional[bool]" = None,
-        store: Optional[TraceStore] = None) -> AdaptiveRun:
-    """Sampled estimate whose region count follows the workload's variance.
-
-    Parameters mirror :func:`~repro.sampling.run.sample_workload`;
-    ``regions`` caps the representatives (default
-    :data:`DEFAULT_ADAPTIVE_CAP`, further bounded by the
-    ``max_fraction`` simulated-records budget), ``ci_target`` is the
-    relative CI half-width that stops the escalation, and
-    ``start_regions``/``batch`` shape the schedule.  See the module
-    docstring for the algorithm.
-    """
-    session = AdaptiveSession(
-        workload, [config], instructions=instructions, skip=skip,
-        ci_target=ci_target, measure=measure, warmup=warmup, detail=detail,
-        start_regions=start_regions, batch=batch, regions=regions,
-        max_fraction=max_fraction, checkpoint_interval=checkpoint_interval,
-        executor=executor, jobs=jobs, cache=cache, store=store)
-    controller = TableController(ci_target)
-    controller.add(session.profile.name, session)
-    controller.run()
-    return controller.results()[session.profile.name][0]
-
-
 __all__ = [
     "DEFAULT_ADAPTIVE_CAP",
     "DEFAULT_BATCH",
@@ -481,5 +407,5 @@ __all__ = [
     "DEFAULT_START_REGIONS",
     "AdaptiveRound",
     "AdaptiveRun",
-    "sample_workload_adaptive",
+    "AdaptiveSession",
 ]

@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Dict, List
 
 from .paired import paired_speedup
 
-if TYPE_CHECKING:  # adaptive imports this module to run its one-cell table
+if TYPE_CHECKING:  # type hints only
     from .adaptive import AdaptiveRun, AdaptiveSession
 
 

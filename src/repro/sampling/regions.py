@@ -1,14 +1,16 @@
-"""Region scheduling: slice a trace into (warmup, measure) windows.
+"""Region scheduling: tile a span into windows, schedule representatives.
 
-Systematic sampling in the SMARTS style (Wunderlich et al., ISCA 2003):
-the timed span ``[skip, skip + instructions)`` of a full run is divided
-into equal strides, and one measurement window of ``measure`` records is
-centered in each stride.  Detailed simulation covers only the windows
-plus their warmup prefixes -- the whole-span estimate then comes from
-weighting the per-window stats (:mod:`repro.sampling.aggregate`).
+The timed span ``[skip, skip + instructions)`` of a full run is tiled
+with consecutive ``measure``-record windows; a plan schedules a few of
+them as (warmup, detail, measure) regions, each weighted by the windows
+it represents.  Detailed simulation covers only the regions plus their
+warmup prefixes -- the whole-span estimate then comes from weighting the
+per-region stats (:mod:`repro.sampling.aggregate`).  The fixed planner
+here (:func:`plan_representative_regions`) and the adaptive escalation
+(:mod:`repro.sampling.adaptive`) share the window arithmetic
+(:func:`window_shape`, :func:`window_region`).
 
-The scheduler is pure arithmetic over record counts; it never touches a
-trace.  Each region becomes an ordinary exec job via
+Each region becomes an ordinary exec job via
 :meth:`~repro.core.config.ProcessorConfig.with_region`, so regions are
 dispatched through the same process pool and persistent result cache as
 any other simulation (see :mod:`repro.sampling.run`).
@@ -127,27 +129,15 @@ class RegionPlan:
                 f"= {self.coverage:.1%} of {self.instructions:,} records")
 
 
-def plan_regions(instructions: int, skip: int = 0,
-                 measure: int = DEFAULT_MEASURE,
-                 warmup: "int | None" = DEFAULT_WARMUP,
-                 detail: "int | None" = None,
-                 max_fraction: float = DEFAULT_MAX_FRACTION,
-                 checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL,
-                 ) -> RegionPlan:
-    """Schedule systematic (warmup, detail, measure) windows over a span.
+def window_shape(instructions: int, skip: int, measure: int,
+                 detail: "int | None", warmup: "int | None",
+                 max_fraction: float) -> Tuple[int, int, int]:
+    """Validate a span's window knobs; return ``(budget, measure, detail)``.
 
-    ``instructions``/``skip`` describe the full run being estimated: the
-    span ``[skip, skip + instructions)``.  ``measure`` sizes each window;
-    ``detail`` (timed, discarded) defaults to a quarter of it.
-    ``warmup`` caps the functional warm training before each detail
-    phase (default :data:`DEFAULT_WARMUP`); pass ``None`` for
-    continuous functional warming over the whole prefix -- maximally
-    faithful cache/predictor state, at O(region start) cost per
-    region.  Detail records are really simulated, so the number
-    of windows is the largest that keeps measure + detail within
-    ``max_fraction`` of the span -- at least one, with the window (then
-    the detail) shrunk if even one would bust the cap.  Warmup and
-    detail are clamped per-region to the records that exist before it.
+    ``budget`` is the timed records a plan may simulate: ``max_fraction``
+    of the span, at least one.  The window shrinks to fit the budget,
+    ``detail`` defaults to a quarter of the window, and both are clamped
+    so one region's measure + detail stays within the budget.
     """
     if instructions < 1:
         raise ValueError("instructions must be positive")
@@ -157,34 +147,31 @@ def plan_regions(instructions: int, skip: int = 0,
         raise ValueError("measure must be positive")
     if not 0 < max_fraction <= 1:
         raise ValueError("max_fraction must be in (0, 1]")
-    budget = max(1, int(instructions * max_fraction))
-    if measure > budget:
-        measure = budget
-    if detail is None:
-        detail = measure // 4
-    if detail < 0:
-        raise ValueError("detail must be non-negative")
-    detail = min(detail, budget - measure)
     if warmup is not None and warmup < 0:
         raise ValueError("warmup must be non-negative")
-    count = max(1, budget // (measure + detail))
-    stride = instructions / count
-    regions = []
-    for i in range(count):
-        # Center each window in its stride segment; int() keeps starts
-        # deterministic and inside the span.
-        start = skip + int(i * stride + (stride - measure) / 2)
-        start = max(skip, min(start, skip + instructions - measure))
-        d = min(detail, start)
-        full_prefix = start - d
-        regions.append(Region(start=start,
-                              warmup=full_prefix if warmup is None
-                              else min(warmup, full_prefix),
-                              measure=measure,
-                              detail=d))
-    return RegionPlan(instructions=instructions, skip=skip,
-                      checkpoint_interval=checkpoint_interval,
-                      regions=tuple(regions))
+    budget = max(1, int(instructions * max_fraction))
+    measure = min(measure, budget)
+    detail = measure // 4 if detail is None else detail
+    if detail < 0:
+        raise ValueError("detail must be non-negative")
+    return budget, measure, min(detail, budget - measure)
+
+
+def window_region(index: int, measure: int, skip: int,
+                  warmup: "int | None", detail: int,
+                  weight: int = 1) -> Region:
+    """The :class:`Region` replaying tiled window ``index``.
+
+    ``detail`` and ``warmup`` are clamped to the records that exist
+    before the window; ``warmup=None`` warms over its whole prefix.
+    """
+    start = skip + index * measure
+    d = min(detail, start)
+    full_prefix = start - d
+    return Region(start=start,
+                  warmup=full_prefix if warmup is None
+                  else min(warmup, full_prefix),
+                  measure=measure, detail=d, weight=weight)
 
 
 def plan_representative_regions(trace, instructions: int, skip: int = 0,
@@ -209,9 +196,9 @@ def plan_representative_regions(trace, instructions: int, skip: int = 0,
     mix.  The cluster count is the largest that keeps the simulated
     records (measure + detail per region) within ``max_fraction`` of
     the span, further capped by ``regions`` (default
-    :data:`DEFAULT_REGIONS`; ``None`` lifts the cap) -- unlike
-    systematic sampling, representatives cover *behaviors*, not span
-    length, so a handful suffices however long the trace is.
+    :data:`DEFAULT_REGIONS`; ``None`` lifts the cap) -- representatives
+    cover *behaviors*, not span length, so a handful suffices however
+    long the trace is.
     ``warmup`` defaults to the :data:`DEFAULT_WARMUP` cap; ``None``
     warms over each region's whole prefix.  The trace must cover
     ``skip + instructions`` records.
@@ -221,27 +208,11 @@ def plan_representative_regions(trace, instructions: int, skip: int = 0,
     the same plan and therefore the same cached exec job keys.
     """
     from .signature import cluster_windows, window_signature
-    if instructions < 1:
-        raise ValueError("instructions must be positive")
-    if skip < 0:
-        raise ValueError("skip must be non-negative")
-    if measure < 1:
-        raise ValueError("measure must be positive")
-    if not 0 < max_fraction <= 1:
-        raise ValueError("max_fraction must be in (0, 1]")
+    budget, measure, detail = window_shape(instructions, skip, measure,
+                                           detail, warmup, max_fraction)
     if len(trace) < skip + instructions:
         raise ValueError(
             f"trace has {len(trace)} records, need {skip + instructions}")
-    budget = max(1, int(instructions * max_fraction))
-    if measure > budget:
-        measure = budget
-    if detail is None:
-        detail = measure // 4
-    if detail < 0:
-        raise ValueError("detail must be non-negative")
-    detail = min(detail, budget - measure)
-    if warmup is not None and warmup < 0:
-        raise ValueError("warmup must be non-negative")
     if regions is not None and regions < 1:
         raise ValueError("regions must be positive")
     windows = max(1, instructions // measure)
@@ -251,17 +222,9 @@ def plan_representative_regions(trace, instructions: int, skip: int = 0,
     signatures = [window_signature(trace, skip + i * measure, measure)
                   for i in range(windows)]
     medoids, weights = cluster_windows(signatures, k)
-    regions = []
-    for index, weight in sorted(zip(medoids, weights)):
-        start = skip + index * measure
-        d = min(detail, start)
-        full_prefix = start - d
-        regions.append(Region(start=start,
-                              warmup=full_prefix if warmup is None
-                              else min(warmup, full_prefix),
-                              measure=measure,
-                              detail=d,
-                              weight=weight))
-    return RegionPlan(instructions=instructions, skip=skip,
-                      checkpoint_interval=checkpoint_interval,
-                      regions=tuple(regions))
+    return RegionPlan(
+        instructions=instructions, skip=skip,
+        checkpoint_interval=checkpoint_interval,
+        regions=tuple(window_region(index, measure, skip, warmup, detail,
+                                    weight)
+                      for index, weight in sorted(zip(medoids, weights))))

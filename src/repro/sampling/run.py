@@ -1,10 +1,10 @@
-"""Sampled workload runs: plan, fan out region jobs, aggregate.
+"""Fixed sampled runs: plan, fan out region jobs, aggregate.
 
-:func:`sample_workload` is the sampling analogue of
-:func:`repro.analysis.runner.run_workload`: instead of one simulation
-over the whole timed span it schedules (warmup, measure) windows
-(:mod:`repro.sampling.regions`), runs each as an independent
-:class:`~repro.exec.jobs.SimJob` through a
+:func:`sample_workload_many` is the ``"fixed"`` sampling mode behind
+:func:`repro.analysis.runner.run_workload` / ``run_pair`` /
+``run_suite``: instead of one simulation over the whole timed span it
+schedules (warmup, measure) windows (:mod:`repro.sampling.regions`),
+runs each as an independent :class:`~repro.exec.jobs.SimJob` through a
 :class:`~repro.exec.executor.SweepExecutor` -- the region rides inside
 the job's :class:`~repro.core.config.ProcessorConfig`, so every window
 has its own content-addressed job key and caches like any other
@@ -13,9 +13,8 @@ estimates (:mod:`repro.sampling.aggregate`).
 
 The trace is captured once up front into the shared
 :class:`~repro.trace.store.TraceStore` (covering the furthest region
-plus the replay margin), so pool workers find it on disk instead of
-re-recording; the store's cross-process claim makes even a cold parallel
-start record it exactly once.
+plus the replay margin); region jobs read the same store, so none of
+them records it again.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from ..core.config import ProcessorConfig
 from ..core.simulator import SimulationResult
 from ..exec.executor import SweepExecutor
 from ..exec.jobs import SimJob
-from ..trace.store import REPLAY_MARGIN, TraceStore, shared_store
+from ..trace.store import REPLAY_MARGIN, shared_store
 from ..workloads.generator import build_program
 from ..workloads.profiles import WorkloadProfile, get_profile
 from .aggregate import SampledEstimate, estimate_cpi, estimate_misspec_penalty
-from .regions import RegionPlan, plan_regions, plan_representative_regions
+from .regions import RegionPlan, plan_representative_regions
 
 #: Sampled CPI must land within this relative error of the full run --
 #: SimPoint's headline accuracy, and the CI gate's threshold.
@@ -81,20 +80,18 @@ def region_jobs(workload: Union[str, WorkloadProfile],
 
 
 def acquire_span_trace(profile: WorkloadProfile, instructions: int,
-                       skip: int, checkpoint_interval: Optional[int] = None,
-                       store: Optional[TraceStore] = None):
+                       skip: int, checkpoint_interval: Optional[int] = None):
     """Capture (or load) the trace covering one sampled span.
 
     Acquisition happens once, up front, before any region jobs fan out:
-    the planners read the trace, and pool workers then find it on disk
-    instead of re-recording (the store's cross-process claim makes even
-    a cold parallel start record it exactly once).  The capture covers
-    the whole span plus the replay margin, so every schedulable region
-    replays from it.
+    the planners read the trace, and region jobs then find it in the
+    same shared store -- in memory for in-process jobs, on disk for pool
+    workers (the store's cross-process claim makes even a cold parallel
+    start record it exactly once).  The capture covers the whole span
+    plus the replay margin, so every schedulable region replays from it.
     """
-    trace_store = store if store is not None else shared_store()
     program = build_program(profile)
-    return trace_store.acquire(
+    return shared_store().acquire(
         program, profile.mem_seed, skip + instructions + REPLAY_MARGIN,
         **({"checkpoint_interval": checkpoint_interval}
            if checkpoint_interval is not None else {}))
@@ -102,67 +99,41 @@ def acquire_span_trace(profile: WorkloadProfile, instructions: int,
 
 def sample_workload_many(workload: Union[str, WorkloadProfile],
                          configs: "Sequence[Optional[ProcessorConfig]]",
+                         executor: SweepExecutor,
                          instructions: int = 20_000,
                          skip: int = 2_000,
-                         strategy: str = "simpoint",
                          measure: Optional[int] = None,
                          warmup: Optional[int] = None,
                          detail: Optional[int] = None,
                          regions: Optional[int] = None,
                          max_fraction: Optional[float] = None,
                          checkpoint_interval: Optional[int] = None,
-                         executor: Optional[SweepExecutor] = None,
-                         jobs: Optional[int] = None,
-                         cache: "Optional[bool]" = None,
-                         store: Optional[TraceStore] = None
                          ) -> List[SampledRun]:
-    """Fixed-plan :func:`sample_workload` for several configs of one workload.
+    """Fixed SimPoint estimates of several configs of one workload.
 
     The plan derives from the trace alone, so every config samples the
-    *same* windows; submitting all configs' region jobs in one executor
-    call lets the batched replay path (:mod:`repro.batch`) walk each
-    region window once for every config sharing its warm class.
-    Returns one :class:`SampledRun` per config, in ``configs`` order --
-    each identical to what a separate :func:`sample_workload` call
-    would produce.  ``strategy`` is ``"simpoint"`` or ``"systematic"``;
-    several configs escalate adaptively as one
-    :class:`~repro.sampling.controller.TableController` table.
+    *same* windows; submitting all configs' region jobs in one
+    ``executor`` call lets the batched replay path (:mod:`repro.batch`)
+    walk each region window once for every config sharing its warm
+    class.  Returns one :class:`SampledRun` per config, in ``configs``
+    order.  ``instructions``/``skip`` describe the *full* run being
+    estimated; the plan simulates at most ``max_fraction`` of its timed
+    records.  The ``"fixed"`` sampling mode of :mod:`repro.api` is this
+    function, one call per workload.
     """
-    if strategy not in ("simpoint", "systematic"):
-        raise ValueError(f"unknown sampling strategy: {strategy}")
     if not configs:
         return []
     profile = get_profile(workload) if isinstance(workload, str) else workload
-    plan_kwargs = {}
-    if measure is not None:
-        plan_kwargs["measure"] = measure
-    if warmup is not None:
-        plan_kwargs["warmup"] = warmup
-    if detail is not None:
-        plan_kwargs["detail"] = detail
-    if regions is not None:
-        if strategy != "simpoint":
-            raise ValueError("regions cap applies to the simpoint strategy")
-        plan_kwargs["regions"] = regions
-    if max_fraction is not None:
-        plan_kwargs["max_fraction"] = max_fraction
-    if checkpoint_interval is not None:
-        plan_kwargs["checkpoint_interval"] = checkpoint_interval
-
+    plan_kwargs = {name: value for name, value in (
+        ("measure", measure), ("warmup", warmup), ("detail", detail),
+        ("regions", regions), ("max_fraction", max_fraction),
+        ("checkpoint_interval", checkpoint_interval)) if value is not None}
     trace = acquire_span_trace(profile, instructions, skip,
-                               checkpoint_interval, store)
-
-    if strategy == "simpoint":
-        plan = plan_representative_regions(trace, instructions, skip,
-                                           **plan_kwargs)
-    else:
-        plan = plan_regions(instructions, skip, **plan_kwargs)
-
-    batch = [job for config in configs
-             for job in region_jobs(profile, config, plan)]
-    runner = executor if executor is not None \
-        else SweepExecutor(jobs=jobs, cache=cache)
-    flat = runner.run(batch)
+                               checkpoint_interval)
+    plan = plan_representative_regions(trace, instructions, skip,
+                                       **plan_kwargs)
+    flat = executor.run([job for config in configs
+                         for job in region_jobs(profile, config, plan)])
     weights = [r.weight for r in plan.regions]
     per_config = len(plan.regions)
     runs = []
@@ -179,60 +150,6 @@ def sample_workload_many(workload: Union[str, WorkloadProfile],
     return runs
 
 
-def sample_workload(workload: Union[str, WorkloadProfile],
-                    config: Optional[ProcessorConfig] = None,
-                    instructions: int = 20_000,
-                    skip: int = 2_000,
-                    strategy: str = "simpoint",
-                    measure: Optional[int] = None,
-                    warmup: Optional[int] = None,
-                    detail: Optional[int] = None,
-                    regions: Optional[int] = None,
-                    max_fraction: Optional[float] = None,
-                    checkpoint_interval: Optional[int] = None,
-                    ci_target: Optional[float] = None,
-                    executor: Optional[SweepExecutor] = None,
-                    jobs: Optional[int] = None,
-                    cache: "Optional[bool]" = None,
-                    store: Optional[TraceStore] = None) -> SampledRun:
-    """Estimate a full run's metrics from sampled regions.
-
-    ``instructions``/``skip`` describe the *full* run being estimated;
-    the plan simulates at most ``max_fraction`` of its timed records.
-    ``strategy`` picks the scheduler: ``"simpoint"`` (default) clusters
-    the span's windows on trace-derived behavior signatures and
-    simulates one weighted representative per cluster;
-    ``"systematic"`` spaces unweighted windows evenly (SMARTS-style);
-    ``"adaptive"`` (:mod:`repro.sampling.adaptive`) starts from a small
-    representative set and escalates until the estimate's CI half-width
-    drops below ``ci_target`` (relative; default
-    :data:`~repro.sampling.adaptive.DEFAULT_CI_TARGET`) or the region
-    cap is hit -- returning an :class:`~repro.sampling.adaptive.
-    AdaptiveRun`.
-    ``store`` overrides the trace store used for the up-front capture
-    (pool workers always resolve theirs from the environment, so pass a
-    custom store only together with ``jobs=1``).
-    """
-    if strategy == "adaptive":
-        from .adaptive import DEFAULT_CI_TARGET, sample_workload_adaptive
-        return sample_workload_adaptive(
-            workload, config, instructions=instructions, skip=skip,
-            ci_target=DEFAULT_CI_TARGET if ci_target is None else ci_target,
-            measure=measure,
-            **({} if warmup is None else {"warmup": warmup}),
-            detail=detail, regions=regions, max_fraction=max_fraction,
-            checkpoint_interval=checkpoint_interval,
-            executor=executor, jobs=jobs, cache=cache, store=store)
-    if ci_target is not None:
-        raise ValueError("ci_target applies to the adaptive strategy")
-    return sample_workload_many(
-        workload, [config], instructions=instructions, skip=skip,
-        strategy=strategy, measure=measure, warmup=warmup, detail=detail,
-        regions=regions, max_fraction=max_fraction,
-        checkpoint_interval=checkpoint_interval,
-        executor=executor, jobs=jobs, cache=cache, store=store)[0]
-
-
 def sampled_vs_full_error(sampled: SampledRun,
                           full: SimulationResult) -> float:
     """Relative CPI error of the sampled estimate against a full run."""
@@ -243,8 +160,8 @@ def sampled_vs_full_error(sampled: SampledRun,
 __all__ = [
     "CPI_ERROR_GATE",
     "SampledRun",
+    "acquire_span_trace",
     "region_jobs",
-    "sample_workload",
     "sample_workload_many",
     "sampled_vs_full_error",
 ]

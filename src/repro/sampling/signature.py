@@ -30,13 +30,9 @@ cacheable.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
-try:  # optional fast path; the image ships numpy but nothing requires it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    _np = None
+import numpy as np
 
 from ..trace.format import FLAG_COND_BRANCH, FLAG_MEM, FLAG_TAKEN
 
@@ -50,52 +46,26 @@ Signature = Dict[tuple, float]
 
 def window_signature(trace, start: int, length: int) -> Signature:
     """The signature of ``trace`` records ``[start, start + length)``."""
-    if _np is not None:
-        return _signature_numpy(trace, start, length)
-    return _signature_python(trace, start, length)
-
-
-def _signature_python(trace, start: int, length: int) -> Signature:
-    counts: Counter = Counter()
-    pcs, flags, addrs = trace.pcs, trace.flags, trace.mem_addrs
-    branches = taken = 0
-    for i in range(start, start + length):
-        counts[("pc", pcs[i] >> PC_SHIFT)] += 1
-        f = flags[i]
-        if f & FLAG_MEM:
-            counts[("mem", addrs[i] >> ADDR_SHIFT)] += 1
-        elif f & FLAG_COND_BRANCH:
-            outcome = bool(f & FLAG_TAKEN)
-            branches += 1
-            taken += outcome
-            counts[("br", pcs[i], outcome)] += 1
-    sig = {key: value / length for key, value in counts.items()}
-    if branches:
-        sig[("taken-rate",)] = taken / branches
-    return sig
-
-
-def _signature_numpy(trace, start: int, length: int) -> Signature:
     end = start + length
-    pcs = _np.frombuffer(trace.pcs, dtype=_np.uint32)[start:end]
-    flags = _np.frombuffer(trace.flags, dtype=_np.uint8)[start:end]
-    addrs = _np.frombuffer(trace.mem_addrs, dtype=_np.uint64)[start:end]
+    pcs = np.frombuffer(trace.pcs, dtype=np.uint32)[start:end]
+    flags = np.frombuffer(trace.flags, dtype=np.uint8)[start:end]
+    addrs = np.frombuffer(trace.mem_addrs, dtype=np.uint64)[start:end]
     sig: Signature = {}
-    buckets, counts = _np.unique(pcs >> PC_SHIFT, return_counts=True)
+    buckets, counts = np.unique(pcs >> PC_SHIFT, return_counts=True)
     for bucket, count in zip(buckets.tolist(), counts.tolist()):
         sig[("pc", bucket)] = count / length
     is_mem = (flags & FLAG_MEM) != 0
-    buckets, counts = _np.unique(addrs[is_mem] >> _np.uint64(ADDR_SHIFT),
-                                 return_counts=True)
+    buckets, counts = np.unique(addrs[is_mem] >> np.uint64(ADDR_SHIFT),
+                                return_counts=True)
     for bucket, count in zip(buckets.tolist(), counts.tolist()):
         sig[("mem", bucket)] = count / length
     is_branch = ~is_mem & ((flags & FLAG_COND_BRANCH) != 0)
     branch_pcs = pcs[is_branch]
     outcomes = (flags[is_branch] & FLAG_TAKEN) != 0
     if branch_pcs.size:
-        pairs = _np.stack([branch_pcs.astype(_np.int64),
-                           outcomes.astype(_np.int64)], axis=1)
-        uniq, counts = _np.unique(pairs, axis=0, return_counts=True)
+        pairs = np.stack([branch_pcs.astype(np.int64),
+                          outcomes.astype(np.int64)], axis=1)
+        uniq, counts = np.unique(pairs, axis=0, return_counts=True)
         for (pc, outcome), count in zip(uniq.tolist(), counts.tolist()):
             sig[("br", pc, bool(outcome))] = count / length
         sig[("taken-rate",)] = float(outcomes.mean())

@@ -29,15 +29,12 @@ from __future__ import annotations
 import weakref
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..isa.executor import DynamicOp
 from ..isa.instruction import INST_BYTES, Program, StaticInst
 from .format import FLAG_MEM, FLAG_TAKEN, Trace
 from .store import REPLAY_MARGIN, TraceStore
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is a baked-in dependency
-    _np = None
 
 #: Records materialized per structure-of-arrays pass: a window's first
 #: pass decodes FIRST_CHUNK, each later one twice the last, up to CHUNK
@@ -147,29 +144,19 @@ class SharedReplayWindow:
         self._chunk = chunk = min(2 * self._chunk, CHUNK)
         hi = min(lo + chunk, len(trace))
         decode = self._decode
-        pcs = trace.pcs
-        flags = trace.flags
-        next_pcs = trace.next_pcs
         mem_addrs = trace.mem_addrs
         append = self._ops.append
-        if _np is not None:
-            f = _np.frombuffer(flags, dtype=_np.uint8)[lo:hi]
-            idx = (_np.frombuffer(pcs, dtype=_np.uint32)[lo:hi]
-                   // INST_BYTES).tolist()
-            taken = ((f & FLAG_TAKEN) != 0).tolist()
-            mem = ((f & FLAG_MEM) != 0).tolist()
-            nxt = _np.frombuffer(next_pcs, dtype=_np.uint32)[lo:hi].tolist()
-            for off in range(hi - lo):
-                seq = lo + off
-                append(DynamicOp(
-                    seq, decode[idx[off]], taken[off], nxt[off],
-                    mem_addrs[seq] if mem[off] else None))
-            return
-        for seq in range(lo, hi):
-            f = flags[seq]
+        f = np.frombuffer(trace.flags, dtype=np.uint8)[lo:hi]
+        idx = (np.frombuffer(trace.pcs, dtype=np.uint32)[lo:hi]
+               // INST_BYTES).tolist()
+        taken = ((f & FLAG_TAKEN) != 0).tolist()
+        mem = ((f & FLAG_MEM) != 0).tolist()
+        nxt = np.frombuffer(trace.next_pcs, dtype=np.uint32)[lo:hi].tolist()
+        for off in range(hi - lo):
+            seq = lo + off
             append(DynamicOp(
-                seq, decode[pcs[seq] // INST_BYTES], bool(f & FLAG_TAKEN),
-                next_pcs[seq], mem_addrs[seq] if f & FLAG_MEM else None))
+                seq, decode[idx[off]], taken[off], nxt[off],
+                mem_addrs[seq] if mem[off] else None))
 
     def get(self, seq: int) -> DynamicOp:
         if seq < self._base:

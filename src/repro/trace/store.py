@@ -177,7 +177,9 @@ class TraceStore:
         kwargs = {}
         if checkpoint_interval is not None:
             kwargs["checkpoint_interval"] = checkpoint_interval
-        trace = self._load_trace(key, refresh=True)
+        # A persistent store re-reads the disk (a sibling process may have
+        # published a longer capture); a memory-only one extends its memo.
+        trace = self._load_trace(key, refresh=self._traces is not None)
         if trace is not None and checkpoint_interval is not None \
                 and trace.checkpoint_interval != checkpoint_interval:
             trace = None  # caller wants a different cadence: re-record

@@ -22,11 +22,11 @@ from repro.sampling import (
     CI_RELATIVE_FLOOR,
     DEFAULT_CI_TARGET,
     AdaptiveRun,
+    AdaptiveSession,
+    TableController,
     estimate_cpi,
-    sample_workload,
-    sample_workload_adaptive,
 )
-from repro.trace.store import TraceStore
+from repro.trace import store as store_module
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
@@ -42,11 +42,19 @@ def _result(cycles, committed, penalty=0, mispredictions=0):
 
 @pytest.fixture
 def isolated_store(monkeypatch, tmp_path):
-    from repro.trace import store as store_module
-
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     store_module.reset_shared_stores()
     yield
+    store_module.reset_shared_stores()
+
+
+@pytest.fixture(scope="module")
+def memory_store():
+    """A memory-only shared trace store, kept across the module's runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE", "0")
+        store_module.reset_shared_stores()
+        yield store_module.shared_store()
     store_module.reset_shared_stores()
 
 
@@ -95,14 +103,21 @@ class TestErrorModel:
 # ----------------------------------------------------------------------
 
 class TestAdaptiveEscalation:
-    def _run(self, name, **kwargs):
+    @pytest.fixture(autouse=True)
+    def _store(self, memory_store):
+        pass
+
+    def _run(self, name, ci_target=DEFAULT_CI_TARGET, **kwargs):
+        """One config's escalation, as a one-config controller table."""
         kwargs.setdefault("instructions", 6000)
         kwargs.setdefault("skip", 1000)
         kwargs.setdefault("max_fraction", 1.0)
-        kwargs.setdefault("jobs", 1)
-        kwargs.setdefault("cache", False)
-        kwargs.setdefault("store", TraceStore(persistent=False))
-        return sample_workload_adaptive(name, BASE, **kwargs)
+        controller = TableController(ci_target)
+        controller.add(name, AdaptiveSession(
+            name, [BASE], ci_target=ci_target, jobs=1, cache=False,
+            **kwargs))
+        controller.run()
+        return controller.results()[name][0]
 
     def test_returns_adaptive_run_with_rounds(self):
         run = self._run("mcf")
@@ -159,16 +174,16 @@ class TestAdaptiveEscalation:
         with pytest.raises(ValueError):
             self._run("mcf", regions=2, start_regions=3)
 
-    def test_strategy_dispatch_from_sample_workload(self):
-        run = sample_workload("mcf", BASE, instructions=6000, skip=1000,
-                              strategy="adaptive", jobs=1, cache=False,
-                              store=TraceStore(persistent=False))
-        assert isinstance(run, AdaptiveRun)
-        assert run.ci_target == DEFAULT_CI_TARGET
+    def test_adaptive_mode_defaults_the_ci_target(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CI_TARGET", raising=False)
+        cell = api.run_workload("mcf", BASE, instructions=6000, skip=1000,
+                                sampling="adaptive", jobs=1, cache=False)
+        assert isinstance(cell.sampled, AdaptiveRun)
+        assert cell.sampled.ci_target == DEFAULT_CI_TARGET
 
     def test_ci_target_requires_adaptive(self):
         with pytest.raises(ValueError):
-            sample_workload("mcf", strategy="simpoint", ci_target=0.05)
+            api.run_workload("mcf", BASE, sampling="fixed", ci_target=0.05)
 
 
 # ----------------------------------------------------------------------
@@ -385,22 +400,18 @@ ADAPTIVE_DIGESTS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def digest_store():
-    return TraceStore(persistent=False)
-
-
 class TestOneAdaptivePath:
     @pytest.mark.parametrize(
         "workload,config,span,target,measure,digest,regions,converged",
         ADAPTIVE_DIGESTS)
     def test_single_config_runs_match_the_per_cell_digests(
-            self, digest_store, workload, config, span, target, measure,
+            self, memory_store, workload, config, span, target, measure,
             digest, regions, converged):
-        run = sample_workload_adaptive(
-            workload, {"base": BASE, "pubs": PUBS}[config],
-            instructions=span, skip=2000, ci_target=target, measure=measure,
-            max_fraction=1.0, jobs=1, cache=False, store=digest_store)
+        req = RunRequest(instructions=span, skip=2000, cache=False, jobs=1,
+                         sampling="adaptive", ci_target=target,
+                         measure=measure, max_fraction=1.0)
+        run = api.run_workload(workload, {"base": BASE, "pubs": PUBS}[config],
+                               request=req).sampled
         assert (len(run.plan.regions), run.converged) == (regions, converged)
         assert _adaptive_digest(run) == digest
 
@@ -477,7 +488,11 @@ class TestApiFacade:
     def test_root_package_re_exports(self):
         import repro
         assert repro.RunRequest is RunRequest
-        assert repro.sample_workload is sample_workload
+        assert repro.run_workload is api.run_workload
+        # One sampling front door: a RunRequest through run_* only.
+        for gone in ("sample_workload", "sample_workload_adaptive",
+                     "sample_workload_many"):
+            assert not hasattr(repro, gone) and not hasattr(api, gone)
 
 
 class TestCliSamplingGuards:

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.trace.replay as trace_replay
 from repro.batch import run_batch
 from repro.core.config import ProcessorConfig
 from repro.core.simulator import simulate
@@ -150,16 +149,6 @@ def test_member_order_never_affects_results(store, perm):
     for slot, i in enumerate(perm):
         assert dataclasses.asdict(permuted[slot]) \
             == dataclasses.asdict(canonical[i])
-
-
-def test_python_fallback_matches_numpy(store, monkeypatch):
-    """The no-numpy record materialization is semantically identical."""
-    jobs = _jobs("mcf", FAMILIES["pubs"][:2])
-    with_numpy = run_batch(jobs, trace_source=store)
-    monkeypatch.setattr(trace_replay, "_np", None)
-    without = run_batch(jobs, trace_source=store)
-    for a, b in zip(with_numpy, without):
-        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
 
 # ----------------------------------------------------------------------

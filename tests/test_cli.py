@@ -89,6 +89,22 @@ class TestRequestFile:
         assert main(command + ["--request-file", str(path)]) == 2
         assert "--sampling must be off" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "mcf", "--sampling", "fixed", "--ci-target", "0.1"],
+        ["sample", "mcf", "--ci-target", "0.1"],
+        ["suite", "--workloads", "mcf", "--sampling", "off",
+         "--ci-target", "0.1"],
+        ["run", "mcf", "-n", "0"],
+    ])
+    def test_invalid_request_exits_two(self, capsys, monkeypatch, argv):
+        # Regression: a RunRequest validation error used to escape as a
+        # traceback (exit 1) instead of a one-line usage error.
+        monkeypatch.delenv("REPRO_SAMPLING", raising=False)
+        monkeypatch.delenv("REPRO_CI_TARGET", raising=False)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_malformed_request_file_exits_two(self, tmp_path, capsys):
         path = tmp_path / "req.json"
         path.write_text("{not json")
@@ -180,15 +196,37 @@ class TestVerifyCommand:
             build_parser().parse_args(["verify", "--level", "off"])
 
     def test_sample_defaults(self):
+        from repro.cli import _request_from_args
         args = build_parser().parse_args(["sample", "mcf"])
         assert args.workloads == ["mcf"]
-        assert args.instructions == 60_000
-        assert args.strategy == "simpoint"
+        # Budget flags stay unset so a request file can supply them; the
+        # sample command's own budget and fixed mode apply last.
+        assert args.instructions is None and args.skip is None
+        request = _request_from_args(args, sampling="fixed")
+        assert request.instructions == 60_000 and request.skip == 2_000
+        assert request.sampling == "fixed"
         assert not args.check_full
 
     def test_sample_rejects_bogus_strategy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["sample", "--strategy", "psychic"])
+        # --strategy is gone (every value is bogus): --sampling
+        # fixed|adaptive is the one mode selector.
+        for strategy in ("psychic", "simpoint", "adaptive"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["sample", "--strategy", strategy])
+
+    def test_sample_request_file_budget_wins_over_the_default(
+            self, tmp_path):
+        # Regression: sample's argparse defaults (60000/2000) used to beat
+        # a request file's budget, unlike every other command.
+        from repro.cli import _request_from_args
+        from repro.core.config import RunRequest
+        path = tmp_path / "req.json"
+        path.write_text(RunRequest(instructions=7_777).to_json())
+        args = build_parser().parse_args(
+            ["sample", "mcf", "--request-file", str(path)])
+        request = _request_from_args(args, sampling="fixed")
+        assert request.instructions == 7_777
+        assert request.skip == 2_000  # the command default fills the rest
 
     @pytest.fixture
     def isolated_store(self, monkeypatch, tmp_path):
@@ -227,7 +265,6 @@ class TestVerifyCommand:
         from repro.exec import JobQueue, run_worker
 
         queue_dir = tmp_path / "queue"
-        JobQueue(queue_dir)  # create the database before two sides race
         stop = threading.Event()
 
         def drain_until_stopped():

@@ -207,6 +207,36 @@ class TestJobQueue:
                 assert results.get(key) is not None
 
 
+    def test_fresh_directory_opened_concurrently(self, tmp_path):
+        """Regression: sessions racing on a fresh queue directory died
+        with ``database is locked`` at the WAL switch (about one round
+        in twenty on a 2-vCPU host), which the busy timeout does not
+        cover.  Six threads keep the race small but real."""
+        import threading
+
+        for round_ in range(100):
+            root = tmp_path / f"q{round_}"
+            barrier = threading.Barrier(6)
+            errors = []
+
+            def open_and_lease():
+                barrier.wait()
+                try:
+                    queue = JobQueue(root)
+                    queue.counts()
+                    queue.lease("w")
+                except Exception as exc:  # collected, asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=open_and_lease)
+                       for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors, f"round {round_}: {errors[0]!r}"
+
+
 _REQUESTS = st.builds(
     RunRequest,
     instructions=st.none() | st.integers(min_value=1, max_value=10**9),

@@ -29,9 +29,18 @@ from repro.sampling import (
     paired_speedup,
     shared_schedule,
 )
-from repro.trace.store import TraceStore
+from repro.trace import store as store_module
 
 BASE = ProcessorConfig.cortex_a72_like()
+
+
+@pytest.fixture
+def memory_store(monkeypatch):
+    """The shared trace store, memory-only (how every CI gate runs)."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    store_module.reset_shared_stores()
+    yield store_module.shared_store()
+    store_module.reset_shared_stores()
 
 
 def _region(start, measure=512, detail=128, weight=1, warmup=0):
@@ -233,16 +242,15 @@ def _escalate(session):
 
 
 class TestRecordsAccounting:
-    def test_simulated_records_reflect_the_detail_clamp(self):
+    def test_simulated_records_reflect_the_detail_clamp(self,
+                                                        memory_store):
         # With skip=0 the span's first window starts at record 0: no
         # room for a detailed-warmup prefix, so its region plans
         # detail=0.  The rounds must account the records actually
         # planned, not the nominal regions * (measure + detail).
-        store = TraceStore(persistent=False)
         session = AdaptiveSession(
             "mcf", [None], instructions=4096, skip=0, measure=512,
-            max_fraction=1.0, ci_target=1e-6, jobs=1, cache=False,
-            store=store)
+            max_fraction=1.0, ci_target=1e-6, jobs=1, cache=False)
         run = _escalate(session)[0]
         first = min(run.plan.regions, key=lambda r: r.start)
         assert first.start == 0 and first.detail == 0
@@ -252,14 +260,12 @@ class TestRecordsAccounting:
         assert session.simulated_records == planned
         assert planned < nominal
 
-    def test_every_round_matches_its_own_plan(self):
+    def test_every_round_matches_its_own_plan(self, memory_store):
         # Rounds snapshot a growing schedule; each must account exactly
         # the regions it had, so the per-round spend curve is honest.
-        store = TraceStore(persistent=False)
         session = AdaptiveSession(
             "sjeng", [None], instructions=8192, skip=2048, measure=1024,
-            max_fraction=1.0, ci_target=1e-6, jobs=1, cache=False,
-            store=store)
+            max_fraction=1.0, ci_target=1e-6, jobs=1, cache=False)
         run = _escalate(session)[0]
         per_region = 1024 + 256
         for record in run.rounds:
@@ -382,17 +388,15 @@ class TestTableController:
 
 
 class TestTableControllerEndToEnd:
-    def test_lockstep_schedules_stay_shared_and_prefix(self):
+    def test_lockstep_schedules_stay_shared_and_prefix(self,
+                                                        memory_store):
         # A controller-stopped session's schedule must (a) keep both
         # configs window-for-window aligned so pairing applies, and
         # (b) be a subset of the standalone full escalation's medoids
         # -- the same content-addressed region jobs, just fewer.
-        from repro.sampling import sample_workload_adaptive
-
-        store = TraceStore(persistent=False)
         configs = [BASE, BASE.with_overrides(recovery_penalty=12)]
         kwargs = dict(instructions=8192, skip=2048, measure=1024,
-                      max_fraction=1.0, jobs=1, cache=False, store=store)
+                      max_fraction=1.0, jobs=1, cache=False)
         controller = TableController(0.5)
         controller.add("mcf", AdaptiveSession("mcf", configs,
                                               ci_target=0.5, **kwargs))
@@ -403,8 +407,8 @@ class TestTableControllerEndToEnd:
         assert runs[0].converged and runs[1].converged
         assert estimate.relative_error <= 0.5
 
-        full = sample_workload_adaptive(
-            "mcf", configs[0], ci_target=1e-6, **kwargs)
+        full = _escalate(AdaptiveSession("mcf", [configs[0]],
+                                         ci_target=1e-6, **kwargs))[0]
         full_starts = {r.start for r in full.plan.regions}
         controller_starts = {r.start for r in runs[0].plan.regions}
         assert controller_starts <= full_starts
@@ -470,7 +474,6 @@ class TestCliFlags:
 
 @pytest.fixture
 def isolated_store(monkeypatch, tmp_path):
-    from repro.trace import store as store_module
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     store_module.reset_shared_stores()

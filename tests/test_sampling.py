@@ -13,7 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.config import ProcessorConfig
+import repro.api as api
+from repro.core.config import ProcessorConfig, RunRequest
 from repro.core.simulator import simulate
 from repro.exec.jobs import job_key
 from repro.sampling import (
@@ -24,20 +25,27 @@ from repro.sampling import (
     cluster_windows,
     estimate_cpi,
     estimate_misspec_penalty,
-    plan_regions,
     plan_representative_regions,
     region_jobs,
-    sample_workload,
     sampled_vs_full_error,
     signature_distance,
     window_signature,
 )
 from repro.trace import capture_trace
-from repro.trace.store import TraceStore
+from repro.trace.store import TraceStore, reset_shared_stores, shared_store
 from repro.workloads.generator import build_program
 from repro.workloads.profiles import get_profile
 
 BASE = ProcessorConfig.cortex_a72_like()
+
+
+@pytest.fixture
+def memory_store(monkeypatch):
+    """The shared trace store, memory-only (how every CI gate runs)."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    reset_shared_stores()
+    yield shared_store()
+    reset_shared_stores()
 
 
 def _result(cycles, committed, penalty=0, mispredictions=0):
@@ -73,47 +81,6 @@ class TestRegion:
         assert len(keys) == 3
 
 
-class TestSystematicPlan:
-    def test_coverage_honors_budget(self):
-        for n in (1000, 5000, 60_000, 1_000_000):
-            plan = plan_regions(n, skip=2000)
-            assert plan.coverage <= DEFAULT_MAX_FRACTION + 1e-9
-            assert plan.regions  # never empty
-            assert plan.simulated_records \
-                == plan.measured_records + plan.detailed_records
-
-    def test_windows_stay_inside_span(self):
-        plan = plan_regions(10_000, skip=500, measure=400)
-        for region in plan.regions:
-            assert region.start >= 500
-            assert region.end <= 500 + 10_000
-            assert region.warmup + region.detail <= region.start
-
-    def test_tiny_span_shrinks_window(self):
-        plan = plan_regions(30, skip=0, measure=1024)
-        assert len(plan.regions) == 1
-        assert plan.simulated_records <= 10  # 1/3 of 30
-
-    def test_full_prefix_warmup_when_uncapped(self):
-        plan = plan_regions(9000, skip=1000, warmup=None)
-        for region in plan.regions:
-            assert region.warmup + region.detail == region.start
-
-    def test_warmup_cap_applies(self):
-        plan = plan_regions(60_000, skip=2000, warmup=100)
-        assert all(r.warmup <= 100 for r in plan.regions)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_regions(0)
-        with pytest.raises(ValueError):
-            plan_regions(100, skip=-1)
-        with pytest.raises(ValueError):
-            plan_regions(100, max_fraction=0)
-        with pytest.raises(ValueError):
-            plan_regions(100, warmup=-5)
-
-
 class TestSimPointPlan:
     @pytest.fixture(scope="class")
     def trace(self):
@@ -133,6 +100,48 @@ class TestSimPointPlan:
         assert len(plan.regions) <= DEFAULT_REGIONS
         assert plan.coverage <= DEFAULT_MAX_FRACTION + 1e-9
         assert all(r.warmup <= DEFAULT_WARMUP for r in plan.regions)
+
+    def test_coverage_honors_budget(self, trace):
+        for n in (1000, 5000, 20_000):
+            plan = plan_representative_regions(trace, n, skip=2000)
+            assert plan.coverage <= DEFAULT_MAX_FRACTION + 1e-9
+            assert plan.regions  # never empty
+            assert plan.simulated_records \
+                == plan.measured_records + plan.detailed_records
+
+    def test_windows_stay_inside_span(self, trace):
+        plan = plan_representative_regions(trace, 10_000, skip=500,
+                                           measure=400)
+        for region in plan.regions:
+            assert region.start >= 500
+            assert region.end <= 500 + 10_000
+            assert region.warmup + region.detail <= region.start
+
+    def test_tiny_span_shrinks_window(self, trace):
+        plan = plan_representative_regions(trace, 30, skip=0, measure=1024)
+        assert len(plan.regions) == 1
+        assert plan.simulated_records <= 10  # 1/3 of 30
+
+    def test_full_prefix_warmup_when_uncapped(self, trace):
+        plan = plan_representative_regions(trace, 9000, skip=1000,
+                                           warmup=None)
+        for region in plan.regions:
+            assert region.warmup + region.detail == region.start
+
+    def test_warmup_cap_applies(self, trace):
+        plan = plan_representative_regions(trace, 20_000, skip=2000,
+                                           warmup=100)
+        assert all(r.warmup <= 100 for r in plan.regions)
+
+    def test_validation(self, trace):
+        with pytest.raises(ValueError):
+            plan_representative_regions(trace, 0)
+        with pytest.raises(ValueError):
+            plan_representative_regions(trace, 100, skip=-1)
+        with pytest.raises(ValueError):
+            plan_representative_regions(trace, 100, max_fraction=0)
+        with pytest.raises(ValueError):
+            plan_representative_regions(trace, 100, warmup=-5)
 
     def test_short_trace_rejected(self, trace):
         with pytest.raises(ValueError):
@@ -241,35 +250,45 @@ class TestSampleWorkload:
         assert region.stats.committed == full.stats.committed
         assert region.stats.mispredictions == full.stats.mispredictions
 
-    @pytest.mark.parametrize("strategy", ["simpoint", "systematic"])
-    def test_strategies_produce_estimates(self, strategy):
-        run = sample_workload("mcf", BASE, instructions=6000, skip=1000,
-                              strategy=strategy, jobs=1, cache=False,
-                              store=TraceStore(persistent=False))
+    def test_fixed_mode_produces_estimates(self, memory_store):
+        cell = api.run_workload("mcf", BASE, request=RunRequest(
+            instructions=6000, skip=1000, jobs=1, cache=False,
+            sampling="fixed"))
+        run = cell.sampled
         assert run.coverage <= DEFAULT_MAX_FRACTION + 1e-9
         assert len(run.results) == len(run.plan.regions)
         assert run.cpi.point > 0
-        if strategy == "simpoint":
-            assert all(r.weight >= 1 for r in run.plan.regions)
-        else:
-            assert all(r.weight == 1 for r in run.plan.regions)
+        assert all(r.weight >= 1 for r in run.plan.regions)
 
-    def test_sampled_cpi_near_full_run(self):
+    def test_sampled_cpi_near_full_run(self, memory_store):
         """Accuracy smoke at a small budget (the bench gates 3% at 60k)."""
         profile = get_profile("mcf")
         program = build_program(profile)
-        store = TraceStore(persistent=False)
         full = simulate(program, BASE.with_frontend("replay"),
                         max_instructions=20_000, skip_instructions=2000,
-                        mem_seed=profile.mem_seed, trace_source=store)
-        run = sample_workload("mcf", BASE, instructions=20_000, skip=2000,
-                              jobs=1, cache=False, store=store)
-        assert sampled_vs_full_error(run, full) <= 0.05
+                        mem_seed=profile.mem_seed, trace_source=memory_store)
+        cell = api.run_workload("mcf", BASE, instructions=20_000, skip=2000,
+                                jobs=1, cache=False, sampling="fixed")
+        assert sampled_vs_full_error(cell.sampled, full) <= 0.05
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            sample_workload("mcf", strategy="psychic")
+        # The systematic (evenly spaced) planner is gone: "fixed" and
+        # "adaptive" are the only sampling modes.
+        for mode in ("systematic", "psychic"):
+            with pytest.raises(ValueError):
+                api.run_workload("mcf", BASE, sampling=mode)
 
-    def test_regions_cap_requires_simpoint(self):
-        with pytest.raises(ValueError):
-            sample_workload("mcf", strategy="systematic", regions=4)
+    @pytest.mark.parametrize("sampling", ["fixed", "adaptive"])
+    def test_memory_only_store_captures_once(self, memory_store, sampling):
+        """Regression: on a memory-only store a longer sampled run
+        re-captured its trace from record 0 instead of extending the
+        shorter one.  Region jobs add no capture either: they replay
+        the up-front trace from the same shared store."""
+        request = RunRequest(skip=2000, jobs=1, cache=False,
+                             sampling=sampling, max_fraction=1.0)
+        for span in (6000, 16_000):
+            cell = api.run_workload(
+                "mcf", BASE, request=request.with_overrides(
+                    instructions=span))
+            assert cell.is_sampled, cell.fallback_reason
+        assert (memory_store.captures, memory_store.extensions) == (1, 1)

@@ -216,6 +216,18 @@ def test_store_memory_only_when_not_persistent(tmp_path):
     assert store.captures == 1
 
 
+def test_memory_only_store_extends_instead_of_rerecording(tmp_path):
+    """Regression: with no disk behind it, a store's refresh skipped its
+    own memo, so every growth re-captured from record 0 (how every CI
+    gate runs, ``REPRO_CACHE=0``)."""
+    mcf = get_profile("mcf")
+    program = build_program(mcf)
+    store = TraceStore(root=tmp_path, persistent=False)
+    for records in (8192, 20_000, 40_000):
+        assert len(store.acquire(program, mcf.mem_seed, records)) >= records
+    assert (store.captures, store.extensions) == (1, 2)
+
+
 @pytest.mark.parametrize("damage", [
     lambda path: path.write_bytes(path.read_bytes()[:-20]),  # truncated file
     lambda path: path.write_bytes(b"not a pickle"),          # garbage
